@@ -1,9 +1,10 @@
 """The headline study: 20 sensors on a 50-story building.
 
 An exhaustive search over the roughly 47 trillion possible configurations
-is out of the question; the relaxed convex solve reaches the optimum with
-fewer than one hundred objective evaluations.  Runs the packaged pipeline
-and writes the full report artifacts (runtime is about a minute).
+is out of the question; the relaxed convex solve takes 72 objective
+evaluations and the repair of its rounding 126 more, 198 in all.  Runs the
+packaged pipeline and writes the full report artifacts (runtime is about
+20 s on a 2-core machine).
 """
 
 from sensoropt import run_pipeline, validate_config, write_report

@@ -22,6 +22,7 @@ name        meaning
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
@@ -245,6 +246,48 @@ def modal_constants(model: ShearBuildingModel, theta: SystemParameters):
     return wj, zj, wd, aj
 
 
+class _ClosedForm(NamedTuple):
+    """Per-mode constants and time bases of the closed-form modal response.
+
+    Mode ``j`` responds as ``q_j(t) = a_j / denom_j * sum_b bracket[b, j] *
+    bases[j, b, t]`` over ``b < 4``: the bracket coefficients are
+    ``(trans_sin, cross, detune, -cross)`` and the bases are
+    ``e sin(wd_j t)``, ``e cos(wd_j t)``, ``sin(w t)`` and ``cos(w t)`` with
+    envelope ``e = exp(-zeta_j w_j t)``.  Bases 4 to 7 are ``t`` times
+    bases 0 to 3; the derivatives of the response need them.
+    """
+
+    wj: np.ndarray  # (n_dof,) each, as from modal_constants
+    zj: np.ndarray
+    wd: np.ndarray
+    aj: np.ndarray
+    denom: np.ndarray  # (n_dof,)
+    bracket: np.ndarray  # (4, n_dof)
+    bases: np.ndarray  # (n_dof, 8, n_times)
+
+
+def _closed_form(model: ShearBuildingModel, theta: SystemParameters, times) -> _ClosedForm:
+    t = _as_times(times)
+    wj, zj, wd, aj = modal_constants(model, theta)
+    w = theta.omega
+
+    trans_sin = (w**3 + wj**2 * w * (2.0 * zj**2 - 1.0)) / wd
+    cross = 2.0 * zj * wj * w
+    detune = wj**2 - w**2
+    denom = detune**2 + cross**2
+
+    env = np.exp(np.multiply.outer(-zj * wj, t))
+    wd_t = np.multiply.outer(wd, t)
+    bases = np.empty((model.n_dof, 8, t.size))
+    np.multiply(env, np.sin(wd_t), out=bases[:, 0])
+    np.multiply(env, np.cos(wd_t), out=bases[:, 1])
+    bases[:, 2] = np.sin(w * t)
+    bases[:, 3] = np.cos(w * t)
+    np.multiply(bases[:, :4], t, out=bases[:, 4:])
+    bracket = np.stack([trans_sin, cross, detune, -cross])
+    return _ClosedForm(wj, zj, wd, aj, denom, bracket, bases)
+
+
 def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) -> np.ndarray:
     """Closed-form modal displacements under sinusoidal ground acceleration.
 
@@ -260,23 +303,8 @@ def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) ->
     ndarray, shape (n_times, n_dof)
         Modal coordinate histories, one column per mode.
     """
-    t = _as_times(times)[:, None]
-    wj, zj, wd, aj = modal_constants(model, theta)
-    w = theta.omega
-
-    env = np.exp(-zj * wj * t)
-    sin_d = np.sin(wd * t)
-    cos_d = np.cos(wd * t)
-    sin_f = np.sin(w * t)
-    cos_f = np.cos(w * t)
-
-    trans_sin = (w**3 + wj**2 * w * (2.0 * zj**2 - 1.0)) / wd
-    cross = 2.0 * zj * wj * w
-    detune = wj**2 - w**2
-    denom = detune**2 + cross**2
-
-    bracket = trans_sin * env * sin_d + cross * env * cos_d + detune * sin_f - cross * cos_f
-    return aj * bracket / denom
+    cf = _closed_form(model, theta, times)
+    return np.einsum("bj,jbn->nj", cf.bracket * (cf.aj / cf.denom), cf.bases[:, :4])
 
 
 def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
@@ -289,108 +317,91 @@ def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
     return np.einsum("nj,ij->ni", q, model.eigenvectors)
 
 
+def _modal_sensitivities(
+    model: ShearBuildingModel, theta: SystemParameters, times
+) -> np.ndarray:
+    """Derivatives of the modal response, laid out (mode, parameter, time).
+
+    Differentiating a basis of ``_ClosedForm`` gives ``t`` times a basis of
+    the same mode: ``d/dx`` of the damped pair ``(e sin, e cos)`` is ``t``
+    times that pair decayed by ``d(zeta_j w_j)/dx`` and rotated by
+    ``d(wd_j)/dx``, and ``d/dw`` of ``(sin(w t), cos(w t))`` is ``t`` times
+    ``(cos(w t), -sin(w t))``.  Every derivative is therefore a per-mode
+    coefficient vector over the eight bases of ``_ClosedForm``, the chain rule
+    through ``(w_j, zeta_j, wd_j, a_j)`` and then ``theta`` acts on
+    ``(5, 8, n_dof)`` coefficients, and the time series are formed once,
+    by one non-BLAS contraction.
+    """
+    cf = _closed_form(model, theta, times)
+    wj, zj, wd, denom, w = cf.wj, cf.zj, cf.wd, cf.denom, theta.omega
+    trans_sin, cross, detune, _ = cf.bracket
+    zero = np.zeros_like(wj)
+    sq = np.sqrt(1.0 - zj**2)
+    tilt = 2.0 * zj**2 - 1.0
+
+    # Partials of the per-mode constants, one row per x = (w_j, zeta_j, w).
+    d_decay = np.stack([zj, wj, zero])  # of zeta_j w_j
+    d_wd = np.stack([sq, -wj * zj / sq, zero])
+    d_phase = np.stack([zero, zero, np.ones_like(wj)])  # of w
+    d_trans = np.stack([
+        (2.0 * wj * w * tilt - trans_sin * d_wd[0]) / wd,
+        (4.0 * wj**2 * w * zj - trans_sin * d_wd[1]) / wd,
+        (3.0 * w**2 + wj**2 * tilt) / wd,
+    ])
+    d_cross = np.stack([2.0 * zj * w, 2.0 * wj * w, 2.0 * zj * wj])
+    d_detune = np.stack([2.0 * wj, zero, np.full_like(wj, -2.0 * w)])
+    d_denom = 2.0 * detune * d_detune + 2.0 * cross * d_cross
+
+    # dq_j/dx = a_j/denom_j * [(d bracket - bracket d denom/denom) . B
+    #                          + (the bases' own derivative) . t B]
+    d_bracket = np.stack([d_trans, d_cross, d_detune, -d_cross], axis=1)
+    d_bases = np.stack([
+        -d_decay * trans_sin - d_wd * cross,
+        d_wd * trans_sin - d_decay * cross,
+        d_phase * cross,
+        d_phase * detune,
+    ], axis=1)
+    d_wj, d_zeta, d_w = (cf.aj / denom) * np.concatenate(
+        [d_bracket - (d_denom / denom)[:, None] * cf.bracket, d_bases], axis=1
+    )
+
+    cj = np.sqrt(model.eigenvalues)
+    dz_dwj = theta.beta / 2.0 - theta.alpha / (2.0 * wj**2)
+    # a_j is linear in a0, so this derivative stays defined at a0 = 0.
+    daj_da0 = -model.eigenvectors.sum(axis=0) / model.modal_masses
+    coef = np.stack([
+        cj * (d_wj + d_zeta * dz_dwj),
+        d_zeta / (2.0 * wj),
+        d_zeta * (wj / 2.0),
+        d_w,
+        np.concatenate([cf.bracket, np.zeros_like(cf.bracket)]) * (daj_da0 / denom),
+    ])
+    return np.einsum("pbj,jbn->jpn", coef, cf.bases)
+
+
 def response_sensitivities(
     model: ShearBuildingModel, theta: SystemParameters, times
 ) -> np.ndarray:
     """Derivatives of story displacements with respect to system parameters.
 
-    Differentiates the closed-form modal response through the chain
-    (omega_j, zeta_j, omega_dj, a_j), then maps modes to stories.
+    The modal derivatives of ``_modal_sensitivities`` are mapped to stories
+    by the one BLAS-backed contraction behind the elementary matrices, a
+    gemm of the mode shapes ``(n_dof x n_dof)`` with the derivatives
+    ``(n_dof x 5 n_times)``, so ``M = K = n_dof``.  In this orientation the
+    result is bitwise identical at 1, 2 and 8 threads of OpenBLAS 0.3.31
+    (Haswell kernels), whereas folding the map into the bases, one gemm
+    ``(time x 8 n_dof) @ (8 n_dof x 5 stories)``, is not at 50 stories.
+    ``tests/test_thread_invariance.py`` checks the map at 4, 50 and 80
+    stories.  Should that test fail on another CPU, the non-BLAS
+    ``np.einsum("ij,jpn->ipn", model.eigenvectors, dq)`` is the drop-in
+    replacement for the ``tensordot``.
 
     Returns
     -------
     ndarray, shape (n_times, n_dof, 5)
         ``out[n, i, p]`` is the derivative of story ``i``'s displacement
         at time ``t_n`` with respect to parameter ``PARAMETER_NAMES[p]``.
+        It is a view of a contiguous (story, parameter, time) array.
     """
-    t = _as_times(times)[:, None]
-    wj, zj, wd, aj = modal_constants(model, theta)
-    w = theta.omega
-
-    sq = np.sqrt(1.0 - zj**2)
-    dwd_dwj = sq
-    dwd_dz = -wj * zj / sq
-
-    env = np.exp(-zj * wj * t)
-    sin_d = np.sin(wd * t)
-    cos_d = np.cos(wd * t)
-    sin_f = np.sin(w * t)
-    cos_f = np.cos(w * t)
-
-    denv_dwj = -zj * t * env
-    denv_dz = -wj * t * env
-    dsin_d_dwj = t * cos_d * dwd_dwj
-    dsin_d_dz = t * cos_d * dwd_dz
-    dcos_d_dwj = -t * sin_d * dwd_dwj
-    dcos_d_dz = -t * sin_d * dwd_dz
-    dsin_f_dw = t * cos_f
-    dcos_f_dw = -t * sin_f
-
-    num_ts = w**3 + wj**2 * w * (2.0 * zj**2 - 1.0)
-    trans_sin = num_ts / wd
-    dts_dwj = (2.0 * wj * w * (2.0 * zj**2 - 1.0) - trans_sin * dwd_dwj) / wd
-    dts_dz = (4.0 * wj**2 * w * zj - trans_sin * dwd_dz) / wd
-    dts_dw = (3.0 * w**2 + wj**2 * (2.0 * zj**2 - 1.0)) / wd
-
-    cross = 2.0 * zj * wj * w
-    dcross_dwj = 2.0 * zj * w
-    dcross_dz = 2.0 * wj * w
-    dcross_dw = 2.0 * zj * wj
-
-    detune = wj**2 - w**2
-    ddetune_dwj = 2.0 * wj
-    ddetune_dw = -2.0 * w
-
-    denom = detune**2 + cross**2
-    ddenom_dwj = 2.0 * detune * ddetune_dwj + 2.0 * cross * dcross_dwj
-    ddenom_dz = 2.0 * cross * dcross_dz
-    ddenom_dw = 2.0 * detune * ddetune_dw + 2.0 * cross * dcross_dw
-
-    bracket = trans_sin * env * sin_d + cross * env * cos_d + detune * sin_f - cross * cos_f
-    ratio = bracket / denom
-
-    dbr_dwj = (
-        dts_dwj * env * sin_d
-        + trans_sin * denv_dwj * sin_d
-        + trans_sin * env * dsin_d_dwj
-        + dcross_dwj * env * cos_d
-        + cross * denv_dwj * cos_d
-        + cross * env * dcos_d_dwj
-        + ddetune_dwj * sin_f
-        - dcross_dwj * cos_f
-    )
-    dbr_dz = (
-        dts_dz * env * sin_d
-        + trans_sin * denv_dz * sin_d
-        + trans_sin * env * dsin_d_dz
-        + dcross_dz * env * cos_d
-        + cross * denv_dz * cos_d
-        + cross * env * dcos_d_dz
-        - dcross_dz * cos_f
-    )
-    dbr_dw = (
-        dts_dw * env * sin_d
-        + dcross_dw * env * cos_d
-        + ddetune_dw * sin_f
-        + detune * dsin_f_dw
-        - dcross_dw * cos_f
-        - cross * dcos_f_dw
-    )
-
-    dq_dwj = aj * (dbr_dwj - ratio * ddenom_dwj) / denom
-    dq_dz = aj * (dbr_dz - ratio * ddenom_dz) / denom
-    dq_dw = aj * (dbr_dw - ratio * ddenom_dw) / denom
-
-    cj = np.sqrt(model.eigenvalues)
-    dz_dwj = theta.beta / 2.0 - theta.alpha / (2.0 * wj**2)
-    dq_domega0 = cj * (dq_dwj + dq_dz * dz_dwj)
-    dq_dalpha = dq_dz / (2.0 * wj)
-    dq_dbeta = dq_dz * (wj / 2.0)
-
-    # a_j is linear in a0, so this derivative stays defined at a0 = 0.
-    participation = model.eigenvectors.sum(axis=0)
-    daj_da0 = -participation / model.modal_masses
-    dq_da0 = daj_da0 * ratio
-
-    dq = np.stack([dq_domega0, dq_dalpha, dq_dbeta, dq_dw, dq_da0], axis=-1)
-    return np.einsum("ij,njp->nip", model.eigenvectors, dq)
+    dq = _modal_sensitivities(model, theta, times)
+    return np.tensordot(model.eigenvectors, dq, axes=([1], [0])).transpose(2, 0, 1)

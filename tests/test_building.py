@@ -258,6 +258,26 @@ class TestResponseSensitivities:
             checked += sens.shape[0] * sens.shape[1]
         assert checked >= 20
 
+    def test_fifty_story_probes_against_central_differences(self):
+        # 24 (theta, t) probes on a tall building.  Upper-story beta entries
+        # are as small as 1e-13, where a per-entry ratio only measures the
+        # finite differences' own noise, so each parameter's error is judged
+        # against that parameter's scale, max |sens[:, :, p]|.
+        rng = np.random.default_rng(50)
+        model = build_uniform_shear_model(50)
+        samples = sample_prior(default_prior(), 3, seed=29)
+        probes = 0
+        for k in range(3):
+            theta = samples.parameters(k)
+            times = rng.uniform(0.5, 10.0, size=8)
+            sens = response_sensitivities(model, theta, times)
+            fd = _fd_sensitivities(model, theta, times, rel_step=6e-6)
+            scale = np.max(np.abs(sens), axis=(0, 1))
+            error = np.max(np.abs(sens - fd), axis=(0, 1))
+            assert np.all(error < 1e-5 * scale), error / scale
+            probes += times.size
+        assert probes >= 20
+
     def test_entries_finite_and_shaped(self):
         model = build_uniform_shear_model(4)
         grid = TimeGrid(50, 0.02)

@@ -1,0 +1,92 @@
+"""Thread invariance of the BLAS-backed mode-to-story map at benchmark sizes.
+
+``response_sensitivities`` maps the modal derivatives to stories with one
+gemm (``np.tensordot``).  OpenBLAS does not promise the same bits at every
+thread count, so fresh processes compute SHA-256 digests at 1, 2 and 8
+threads and must agree.  Acceptance criterion 9 builds only 4 stories,
+where the gemm's inner dimension is 4, so it cannot see an orientation
+whose result varies with the thread count; the sizes here are those of the
+benchmark workloads (50 stories, and 80 for the tall building).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import sensoropt
+from sensoropt import SystemParameters, TimeGrid, build_uniform_shear_model, building
+
+THREAD_COUNTS = ("1", "2", "8")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+DIGEST_SCRIPT = """
+import hashlib
+import json
+
+import numpy as np
+
+from sensoropt import (
+    SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
+    default_prior, response_sensitivities, sample_prior,
+)
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+# Underdamped in every mode up to 80 stories.
+theta = SystemParameters(omega0=2 * np.pi, alpha=0.1, beta=1e-4, omega=2 * np.pi * 0.9, a0=3.0)
+grid = TimeGrid(1000, 0.01)
+digests = {
+    f"sensitivities, {n_dof} stories": digest(
+        response_sensitivities(build_uniform_shear_model(n_dof), theta, grid)
+    )
+    for n_dof in (4, 50, 80)
+}
+fimset = compute_elementary_set(
+    build_uniform_shear_model(50), sample_prior(default_prior(), 5, seed=1), grid
+)
+digests["elementary matrices, 50 stories x 5 samples"] = digest(fimset.matrices)
+print(json.dumps(digests))
+"""
+
+
+def _digests(threads: str) -> dict:
+    env = dict(os.environ)
+    for var in THREAD_VARS:
+        env[var] = threads
+    src = str(Path(sensoropt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DIGEST_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_digests_identical_at_1_2_and_8_threads():
+    digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
+    reference = digests[THREAD_COUNTS[0]]
+    assert len(reference) == 4
+    for threads in THREAD_COUNTS[1:]:
+        differing = [key for key in reference if digests[threads][key] != reference[key]]
+        assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
+
+
+def test_tensordot_map_matches_non_blas_einsum():
+    # The einsum is the drop-in replacement named in the kernel's docstring.
+    theta = SystemParameters(omega0=2 * np.pi, alpha=0.1, beta=1e-4, omega=2 * np.pi * 0.9, a0=3.0)
+    grid = TimeGrid(1000, 0.01)
+    for n_dof in (4, 50, 80):
+        model = build_uniform_shear_model(n_dof)
+        dq = building._modal_sensitivities(model, theta, grid)
+        reference = np.einsum("ij,jpn->ipn", model.eigenvectors, dq)
+        sens = building.response_sensitivities(model, theta, grid).transpose(1, 2, 0)
+        scale = np.max(np.abs(reference), axis=(0, 2))
+        error = np.max(np.abs(sens - reference), axis=(0, 2))
+        assert np.all(error <= 1e-13 * scale), (n_dof, error / scale)
