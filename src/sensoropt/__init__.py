@@ -43,9 +43,7 @@ from .fim import (
     compute_elementary_set,
     elementary_matrices,
     logdet_pd,
-    mc_gradient,
     mc_gradient_hessian,
-    mc_hessian,
     mc_objective,
     preflight_check,
 )

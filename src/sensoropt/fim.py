@@ -7,13 +7,20 @@ the information matrix is ``Q(z) = sum_i z_i Q_i`` and the objective to
 minimize is the negated expected log-determinant over the prior,
 estimated by a sample mean with fixed summation order.
 
-Every reduction in this module uses ``einsum`` in its non-BLAS path.  The
-elementary matrices rest on one BLAS-backed contraction, the mode-to-story
-map in ``building.response_sensitivities``: a gemm of the mode shapes with
-the modal derivatives with ``M = K = n_dof``, an orientation whose result
-is bitwise identical at 1, 2 and 8 BLAS threads;
-``tests/test_thread_invariance.py`` checks this at benchmark sizes.  Every
-value therefore stays bit-reproducible regardless of BLAS thread counts.
+Reductions across samples run in fixed sample order, and the objective's
+reductions use ``einsum`` in its non-BLAS path.  Two BLAS-backed
+contractions remain, each in an orientation whose result is bitwise
+identical at 1, 2 and 8 BLAS threads.  The elementary matrices rest on
+the mode-to-story map in ``building.response_sensitivities``, a gemm of
+the mode shapes with the modal derivatives with ``M = K = n_dof``.  The
+Newton step's gradient and Hessian (``mc_gradient_hessian``) come from
+per-sample batched matmuls with an inner dimension of at most 15, whose
+per-sample results are summed in sample order over blocks of the fixed
+size ``SAMPLE_BLOCK``: every output entry is one short sum within one
+sample, so a BLAS thread split can only divide the outputs between
+threads, never the sum behind one of them.
+``tests/test_thread_invariance.py`` checks both at benchmark sizes, so
+every value stays bit-reproducible regardless of BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -155,7 +162,16 @@ def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet) -> np.ndarray:
     return np.einsum("i,kipq->kpq", z, fimset.matrices)
 
 
-def _cholesky_all(q_all: np.ndarray) -> np.ndarray:
+def _cholesky_all(
+    q_all: np.ndarray,
+    message: str = "information matrix for sample {} is not positive definite",
+) -> np.ndarray:
+    """Cholesky factors of a stack of matrices, naming the first failure.
+
+    When the batched factorization fails, the samples are factored one at
+    a time to find the first one that is not positive definite; it is
+    reported by ``message.format(k)`` and in ``sample_index``.
+    """
     try:
         return np.linalg.cholesky(q_all)
     except np.linalg.LinAlgError:
@@ -163,11 +179,15 @@ def _cholesky_all(q_all: np.ndarray) -> np.ndarray:
             try:
                 np.linalg.cholesky(q_all[k])
             except np.linalg.LinAlgError:
-                raise SingularInformationError(
-                    f"information matrix for sample {k} is not positive definite",
-                    sample_index=k,
-                ) from None
+                raise SingularInformationError(message.format(k), sample_index=k) from None
         raise  # unreachable: the batched failure must have a witness
+
+
+def _mean_logdet(q_all: np.ndarray) -> float:
+    """Mean log-determinant of a stack of positive-definite matrices."""
+    chol = _cholesky_all(q_all)
+    logdets = 2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1)
+    return float(np.mean(logdets))
 
 
 def _check_z(z, fimset: ElementaryFimSet) -> np.ndarray:
@@ -185,9 +205,7 @@ def mc_objective(z, fimset: ElementaryFimSet) -> float:
     per-sample terms are reduced in fixed sample order.
     """
     z = _check_z(z, fimset)
-    chol = _cholesky_all(_assemble_all(z, fimset))
-    logdets = 2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1)
-    return float(-np.mean(logdets))
+    return -_mean_logdet(_assemble_all(z, fimset))
 
 
 def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
@@ -197,10 +215,7 @@ def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
     only as a documented fallback for degenerate configurations.
     """
     z = _check_z(z, fimset)
-    q_all = _assemble_all(z, fimset) + eps * np.eye(fimset.n_params)
-    chol = _cholesky_all(q_all)
-    logdets = 2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1)
-    return float(-np.mean(logdets))
+    return -_mean_logdet(_assemble_all(z, fimset) + eps * np.eye(fimset.n_params))
 
 
 def regularization_scale(fimset: ElementaryFimSet) -> float:
@@ -209,50 +224,61 @@ def regularization_scale(fimset: ElementaryFimSet) -> float:
     return 1e-12 * mean_trace
 
 
-def _whitened_elements(z: np.ndarray, fimset: ElementaryFimSet) -> np.ndarray:
-    """Per sample k and story i: L_k^{-1} Q_i L_k^{-T} with Q(z) = L_k L_k^T.
+# Samples whitened and contracted together.  A fixed constant, so the
+# summation order, and with it every bit of the result, does not depend on
+# the machine; 64 keeps the per-block Hessian terms at 64 * n_dof**2
+# floats, about 1.3 MB at 50 stories.
+SAMPLE_BLOCK = 64
 
-    One factorization per sample is reused for all stories.  The traces of
-    these symmetric factors give the gradient; their pairwise Frobenius
-    products give the Hessian.
-    """
-    chol = _cholesky_all(_assemble_all(z, fimset))
-    chol_inv = np.linalg.inv(chol)
-    half = np.einsum("kap,kipq->kiaq", chol_inv, fimset.matrices)
-    return np.einsum("kiaq,kbq->kiab", half, chol_inv)
-
-
-def mc_gradient(z, fimset: ElementaryFimSet) -> np.ndarray:
-    """Gradient of the Monte-Carlo objective with respect to z.
-
-    Component ``i`` is the negated mean of ``tr(Q(z)^{-1} Q_i)``, the
-    Frobenius inner product of the two symmetric factors.
-    """
-    z = _check_z(z, fimset)
-    chol = _cholesky_all(_assemble_all(z, fimset))
-    chol_inv = np.linalg.inv(chol)
-    q_inv = np.einsum("kpa,kpb->kab", chol_inv, chol_inv)
-    traces = np.einsum("kpq,kipq->ki", q_inv, fimset.matrices)
-    return -np.mean(traces, axis=0)
-
-
-def mc_hessian(z, fimset: ElementaryFimSet) -> np.ndarray:
-    """Hessian of the Monte-Carlo objective, a symmetric PSD matrix.
-
-    Entry ``(p, q)`` is the mean of ``tr(Q^{-1} Q_q Q^{-1} Q_p)``.
-    """
-    z = _check_z(z, fimset)
-    whitened = _whitened_elements(z, fimset)
-    return np.einsum("kiab,kjab->ij", whitened, whitened) / fimset.n_samples
+# A symmetric 5x5 matrix packed as its diagonal, then its upper off-diagonal
+# entries scaled by sqrt(2): the dot product of two packed matrices is
+# their Frobenius inner product.
+_OFF_ROWS, _OFF_COLS = np.triu_indices(N_PARAMS, 1)
+_PACK_ROWS = np.concatenate([np.arange(N_PARAMS), _OFF_ROWS])
+_PACK_COLS = np.concatenate([np.arange(N_PARAMS), _OFF_COLS])
+_PACK_WEIGHTS = np.concatenate([np.ones(N_PARAMS), np.full(_OFF_ROWS.size, np.sqrt(2.0))])
 
 
 def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian sharing one factorization per sample."""
+    """Gradient and Hessian of the Monte-Carlo objective with respect to z.
+
+    With ``Q(z) = L_k L_k^T`` for sample k, the whitened elements
+    ``W_ki = L_k^{-1} Q_i L_k^{-T}`` give gradient component
+    ``-mean_k tr W_ki = -mean_k tr(Q^{-1} Q_i)`` and Hessian entry
+    ``mean_k <W_ki, W_kj> = mean_k tr(Q^{-1} Q_i Q^{-1} Q_j)``, a symmetric
+    PSD matrix.  One factorization per sample serves every story.
+
+    Samples are taken in blocks of ``SAMPLE_BLOCK``.  Within a block, two
+    batched matmuls whiten the elements (per sample, ``M = 5 n_dof`` and
+    ``K = 5``): ``Q_i L^{-T}``, transposed per story to ``L^{-1} Q_i`` by
+    the symmetry of ``Q_i``, then times ``L^{-T}`` again.  Each ``W_ki`` is
+    packed into 15 entries and one batched per-sample product
+    ``X_k X_k^T`` (``K = 15``) gives the Hessian terms, which are summed in
+    sample order.  Why this is thread-invariant is in the module
+    docstring; ``whitened_elements_einsum`` in ``tests/test_fim.py`` is the
+    non-BLAS fallback for the whitening.
+    """
     z = _check_z(z, fimset)
-    whitened = _whitened_elements(z, fimset)
-    grad = -np.mean(np.einsum("kiaa->ki", whitened), axis=0)
-    hess = np.einsum("kiab,kjab->ij", whitened, whitened) / fimset.n_samples
-    return grad, hess
+    n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
+    chol_inv = np.linalg.inv(_cholesky_all(_assemble_all(z, fimset)))
+    # Contiguous right-hand operands: numpy's batched matmul over transposed
+    # views took two to three times as long at 50 stories.
+    chol_inv_t = np.ascontiguousarray(chol_inv.transpose(0, 2, 1))
+    trace_sum = np.zeros(n_dof)
+    hess_sum = np.zeros((n_dof, n_dof))
+    for start in range(0, n_samples, SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        elems = fimset.matrices[block]
+        b = elems.shape[0]
+        half = elems.reshape(b, n_dof * n_params, n_params) @ chol_inv_t[block]
+        half = half.reshape(b, n_dof, n_params, n_params).transpose(0, 1, 3, 2).copy()
+        whitened = (half.reshape(b, n_dof * n_params, n_params) @ chol_inv_t[block]).reshape(
+            b, n_dof, n_params, n_params
+        )
+        packed = whitened[:, :, _PACK_ROWS, _PACK_COLS] * _PACK_WEIGHTS
+        trace_sum += np.sum(packed[:, :, :n_params], axis=(0, 2))
+        hess_sum += np.sum(packed @ packed.transpose(0, 2, 1).copy(), axis=0)
+    return -trace_sum / n_samples, hess_sum / n_samples
 
 
 def preflight_check(fimset: ElementaryFimSet) -> None:
@@ -261,19 +287,11 @@ def preflight_check(fimset: ElementaryFimSet) -> None:
     Verifies that the story-averaged matrix is positive definite for every
     sample; interior placement vectors then always yield PD matrices.
     """
-    mean_q = np.mean(fimset.matrices, axis=1)
-    try:
-        np.linalg.cholesky(mean_q)
-    except np.linalg.LinAlgError:
-        for k in range(fimset.n_samples):
-            try:
-                np.linalg.cholesky(mean_q[k])
-            except np.linalg.LinAlgError:
-                raise SingularInformationError(
-                    f"sample {k} is degenerate: its full-support information "
-                    "matrix is not positive definite",
-                    sample_index=k,
-                ) from None
+    _cholesky_all(
+        np.mean(fimset.matrices, axis=1),
+        "sample {} is degenerate: its full-support information matrix is not "
+        "positive definite",
+    )
 
 
 class CountingEvaluator:

@@ -24,8 +24,7 @@ from sensoropt import (
     exhaustive,
     fixed_configs,
     greedy_forward,
-    mc_gradient,
-    mc_hessian,
+    mc_gradient_hessian,
     mc_objective,
     modal_constants,
     modal_response,
@@ -125,7 +124,7 @@ def test_criterion_3_derivative_consistency():
     for _ in range(10):
         budget = int(rng.integers(1, 4))
         z = random_feasible_z(rng, 4, budget, mix=0.6)
-        grad = mc_gradient(z, elems)
+        grad, hess = mc_gradient_hessian(z, elems)
         step = 1e-6
         for i in range(4):
             zp, zm = z.copy(), z.copy()
@@ -133,13 +132,14 @@ def test_criterion_3_derivative_consistency():
             zm[i] -= step
             fd = (mc_objective(zp, elems) - mc_objective(zm, elems)) / (2 * step)
             worst_grad = max(worst_grad, abs(grad[i] - fd) / abs(grad[i]))
-        hess = mc_hessian(z, elems)
         fd_hess = np.zeros((4, 4))
         for i in range(4):
             zp, zm = z.copy(), z.copy()
             zp[i] += step
             zm[i] -= step
-            fd_hess[:, i] = (mc_gradient(zp, elems) - mc_gradient(zm, elems)) / (2 * step)
+            fd_hess[:, i] = (
+                mc_gradient_hessian(zp, elems)[0] - mc_gradient_hessian(zm, elems)[0]
+            ) / (2 * step)
         worst_hess = max(
             worst_hess, np.max(np.abs(hess - fd_hess)) / np.max(np.abs(hess))
         )
@@ -250,7 +250,7 @@ def test_criterion_6_convexity_suite():
 
     for _ in range(10):
         z = random_feasible_z(rng, 4, int(rng.integers(1, 4)), mix=0.6)
-        hess = mc_hessian(z, elems)
+        _, hess = mc_gradient_hessian(z, elems)
         if np.min(np.linalg.eigvalsh(hess)) < -1e-8 * np.trace(hess):
             failures.append("hessian not PSD within tolerance")
 

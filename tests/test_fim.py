@@ -11,9 +11,7 @@ from sensoropt import (
     default_prior,
     elementary_matrices,
     logdet_pd,
-    mc_gradient,
     mc_gradient_hessian,
-    mc_hessian,
     mc_objective,
     preflight_check,
     response_sensitivities,
@@ -32,6 +30,27 @@ from conftest import random_feasible_z
 def _fimset_from(matrices) -> ElementaryFimSet:
     m = np.asarray(matrices, dtype=float)
     return ElementaryFimSet(matrices=m)
+
+
+def _gradient(z, fimset):
+    return mc_gradient_hessian(z, fimset)[0]
+
+
+def _hessian(z, fimset):
+    return mc_gradient_hessian(z, fimset)[1]
+
+
+def whitened_elements_einsum(z, fimset: ElementaryFimSet) -> np.ndarray:
+    """Per sample k and story i, L_k^{-1} Q_i L_k^{-T} with Q(z) = L_k L_k^T.
+
+    The non-BLAS fallback for the whitening in ``mc_gradient_hessian``:
+    two ``einsum`` contractions, whose result does not depend on BLAS
+    threading on any CPU.
+    """
+    q_all = np.einsum("i,kipq->kpq", z, fimset.matrices)
+    chol_inv = np.linalg.inv(np.linalg.cholesky(q_all))
+    half = np.einsum("kap,kipq->kiaq", chol_inv, fimset.matrices)
+    return np.einsum("kiaq,kbq->kiab", half, chol_inv)
 
 
 def _diag5(*entries):
@@ -151,27 +170,29 @@ class TestMcObjective:
         rng = np.random.default_rng(9)
         z = random_feasible_z(rng, 4, 3)
         assert mc_objective(z, four_dof_fimset) == mc_objective(z, four_dof_fimset)
-        assert np.array_equal(mc_gradient(z, four_dof_fimset), mc_gradient(z, four_dof_fimset))
-        assert np.array_equal(mc_hessian(z, four_dof_fimset), mc_hessian(z, four_dof_fimset))
+        grad, hess = mc_gradient_hessian(z, four_dof_fimset)
+        grad_again, hess_again = mc_gradient_hessian(z, four_dof_fimset)
+        assert np.array_equal(grad, grad_again)
+        assert np.array_equal(hess, hess_again)
 
 
 class TestMcGradient:
     def test_one_hot_identity(self):
         fimset = _fimset_from([[np.eye(5), 3 * np.eye(5)]])
-        grad = mc_gradient(np.array([1.0, 0.0]), fimset)
+        grad = _gradient(np.array([1.0, 0.0]), fimset)
         assert grad[0] == pytest.approx(-5.0, rel=1e-14)
         assert grad[1] == pytest.approx(-15.0, rel=1e-14)
 
     def test_equal_elements_give_equal_components(self):
         q = _diag5(2.0, 3.0)
         fimset = _fimset_from([[q, q, q]])
-        grad = mc_gradient(np.full(3, 1.0 / 3.0), fimset)
+        grad = _gradient(np.full(3, 1.0 / 3.0), fimset)
         assert np.ptp(grad) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_finite_differences(self, four_dof_fimset):
         rng = np.random.default_rng(10)
         z = random_feasible_z(rng, 4, 2, mix=0.5)
-        grad = mc_gradient(z, four_dof_fimset)
+        grad = _gradient(z, four_dof_fimset)
         h = 1e-6
         for i in range(4):
             zp, zm = z.copy(), z.copy()
@@ -186,20 +207,20 @@ class TestMcGradient:
         perm = rng.permutation(4)
         permuted = ElementaryFimSet(matrices=four_dof_fimset.matrices[:, perm])
         np.testing.assert_allclose(
-            mc_gradient(z[perm], permuted), mc_gradient(z, four_dof_fimset)[perm], rtol=1e-13
+            _gradient(z[perm], permuted), _gradient(z, four_dof_fimset)[perm], rtol=1e-13
         )
 
 
 class TestMcHessian:
     def test_identity_entries(self):
         fimset = _fimset_from([[np.eye(5)]])
-        hess = mc_hessian(np.ones(1), fimset)
+        hess = _hessian(np.ones(1), fimset)
         assert hess[0, 0] == pytest.approx(5.0, rel=1e-14)
 
     def test_matches_finite_differences_of_gradient(self, four_dof_fimset):
         rng = np.random.default_rng(12)
         z = random_feasible_z(rng, 4, 2, mix=0.5)
-        hess = mc_hessian(z, four_dof_fimset)
+        hess = _hessian(z, four_dof_fimset)
         h = 1e-6
         fd = np.zeros((4, 4))
         for i in range(4):
@@ -207,7 +228,7 @@ class TestMcHessian:
             zp[i] += h
             zm[i] -= h
             fd[:, i] = (
-                mc_gradient(zp, four_dof_fimset) - mc_gradient(zm, four_dof_fimset)
+                _gradient(zp, four_dof_fimset) - _gradient(zm, four_dof_fimset)
             ) / (2 * h)
         assert np.max(np.abs(hess - fd)) / np.max(np.abs(hess)) < 1e-4
 
@@ -215,7 +236,7 @@ class TestMcHessian:
         rng = np.random.default_rng(13)
         for _ in range(10):
             z = random_feasible_z(rng, 4, int(rng.integers(1, 4)), mix=0.6)
-            hess = mc_hessian(z, four_dof_fimset)
+            hess = _hessian(z, four_dof_fimset)
             np.testing.assert_allclose(hess, hess.T, rtol=1e-13)
             assert np.min(np.linalg.eigvalsh(hess)) >= -1e-8 * np.trace(hess)
 
@@ -223,8 +244,12 @@ class TestMcHessian:
         rng = np.random.default_rng(14)
         z = random_feasible_z(rng, 4, 2, mix=0.3)
         grad, hess = mc_gradient_hessian(z, four_dof_fimset)
-        np.testing.assert_allclose(grad, mc_gradient(z, four_dof_fimset), rtol=1e-14)
-        np.testing.assert_allclose(hess, mc_hessian(z, four_dof_fimset), rtol=1e-14)
+        whitened = whitened_elements_einsum(z, four_dof_fimset)
+        n_samples = four_dof_fimset.n_samples
+        grad_einsum = -np.mean(np.einsum("kiaa->ki", whitened), axis=0)
+        hess_einsum = np.einsum("kiab,kjab->ij", whitened, whitened) / n_samples
+        np.testing.assert_allclose(grad, grad_einsum, rtol=1e-14)
+        np.testing.assert_allclose(hess, hess_einsum, rtol=1e-14)
 
 
 class TestObjectiveShape:

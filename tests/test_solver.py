@@ -11,7 +11,7 @@ from sensoropt import (
     default_prior,
     exhaustive,
     kkt_certificate,
-    mc_gradient,
+    mc_gradient_hessian,
     mc_objective,
     round_solution,
     sample_prior,
@@ -69,7 +69,7 @@ class TestSolveRelaxed:
         sol = solve_relaxed(four_dof_fimset, 2, opts)
         assert sol.converged
         assert sol.kkt_residual < opts.tolerance
-        grad = mc_gradient(sol.z_star, four_dof_fimset)
+        grad, _ = mc_gradient_hessian(sol.z_star, four_dof_fimset)
         # recover the equality multiplier from an interior coordinate
         interior = np.argmin(np.abs(sol.z_star - 0.5))
         nu = -grad[interior] if 0.01 < sol.z_star[interior] < 0.99 else None

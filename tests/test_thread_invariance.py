@@ -1,12 +1,15 @@
-"""Thread invariance of the BLAS-backed mode-to-story map at benchmark sizes.
+"""Thread invariance of the BLAS-backed kernels at benchmark sizes.
 
 ``response_sensitivities`` maps the modal derivatives to stories with one
-gemm (``np.tensordot``).  OpenBLAS does not promise the same bits at every
-thread count, so fresh processes compute SHA-256 digests at 1, 2 and 8
-threads and must agree.  Acceptance criterion 9 builds only 4 stories,
-where the gemm's inner dimension is 4, so it cannot see an orientation
-whose result varies with the thread count; the sizes here are those of the
-benchmark workloads (50 stories, and 80 for the tall building).
+gemm (``np.tensordot``), and ``mc_gradient_hessian`` whitens the
+elementary matrices and forms the Hessian terms with per-sample batched
+matmuls.  OpenBLAS does not promise the same bits at every thread count,
+so fresh processes compute SHA-256 digests at 1, 2 and 8 threads and must
+agree.  Acceptance criterion 9 builds only 4 stories, where the map's
+inner dimension is 4, so it cannot see an orientation whose result varies
+with the thread count; the sizes here are those of the benchmark workloads
+(4 and 50 stories, and 80 for the tall building), plus a sample count that
+is not a multiple of the Newton step's sample block.
 """
 
 import json
@@ -31,8 +34,9 @@ import numpy as np
 
 from sensoropt import (
     SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
-    default_prior, response_sensitivities, sample_prior,
+    default_prior, mc_gradient_hessian, response_sensitivities, sample_prior,
 )
+from sensoropt.fim import ElementaryFimSet
 
 
 def digest(a):
@@ -52,6 +56,21 @@ fimset = compute_elementary_set(
     build_uniform_shear_model(50), sample_prior(default_prior(), 5, seed=1), grid
 )
 digests["elementary matrices, 50 stories x 5 samples"] = digest(fimset.matrices)
+
+sets = {
+    n_dof: compute_elementary_set(
+        build_uniform_shear_model(n_dof), sample_prior(default_prior(), n_samples, seed=2), grid
+    )
+    for n_dof, n_samples in ((4, 1000), (50, 130))
+}
+for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
+    fimset = ElementaryFimSet(matrices=sets[n_dof].matrices[:n_samples])
+    # Interior and non-uniform, so no story's terms share a weight.
+    z = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
+    grad, hess = mc_gradient_hessian(z, fimset)
+    digests[f"gradient and Hessian, {n_dof} stories x {n_samples} samples"] = (
+        digest(grad) + digest(hess)
+    )
 print(json.dumps(digests))
 """
 
@@ -72,7 +91,7 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 4
+    assert len(reference) == 7
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
