@@ -38,11 +38,8 @@ from .fim import (
     CountingEvaluator,
     ElementaryFimSet,
     SingularInformationError,
-    assemble_q,
     check_sensor_vector,
     compute_elementary_set,
-    elementary_matrices,
-    logdet_pd,
     mc_gradient_hessian,
     mc_objective,
     preflight_check,

@@ -17,10 +17,23 @@ name        meaning
 ``omega``   ground-excitation frequency, rad/s
 ``a0``      ground-acceleration amplitude, m/s^2
 ==========  =====================================================
+
+On a ``TimeGrid`` the damped time bases are built from two short tables
+per mode (``_damped_bases``); an arbitrary time array is evaluated
+directly, and ``tests/test_building.py`` holds the two paths together.
+The sensitivities rest on two BLAS-backed contractions, each in an
+orientation whose result is bitwise identical at 1, 2 and 8 BLAS threads:
+a batched matmul over modes that forms the modal derivatives from their
+coefficients over the time bases (``K = 8``, ``_modal_sensitivities``),
+and a gemm that maps them to stories (``M = K = n_dof``,
+``response_sensitivities``).  ``tests/test_thread_invariance.py`` checks
+both at benchmark sizes and holds each to the non-BLAS ``einsum`` its
+docstring names as the fallback.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -266,6 +279,29 @@ class _ClosedForm(NamedTuple):
     bases: np.ndarray  # (n_dof, 8, n_times)
 
 
+def _damped_bases(rate: np.ndarray, times) -> np.ndarray:
+    """``exp(rate_j t)`` for complex ``rate_j = -zeta_j w_j + i wd_j``, shape (n_dof, n_times).
+
+    Its imaginary and real parts are the damped bases ``e sin(wd_j t)`` and
+    ``e cos(wd_j t)``.  On a ``TimeGrid`` each step is written
+    ``n = a m + b`` with ``m = isqrt(n_steps) + 1``, and ``exp(rate t_n)`` is
+    the product of a coarse table over ``a m dt`` and a fine table over
+    ``b dt``: about ``2 sqrt(n_steps)`` complex exponentials per mode instead
+    of ``n_steps``.  Every entry is the product of two directly evaluated
+    values, not a recurrence, so its error does not grow with ``n``.  An
+    arbitrary time array is evaluated directly.
+    """
+    if not isinstance(times, TimeGrid):
+        return np.exp(np.multiply.outer(rate, _as_times(times)))
+    n_steps = times.n_steps
+    m = math.isqrt(n_steps) + 1
+    coarse = np.exp(np.multiply.outer(rate, times.dt * np.arange(0, n_steps + 1, m)))
+    fine = np.exp(np.multiply.outer(rate, times.dt * np.arange(m)))
+    # Entry (a, b) of the product is step a m + b; step 0 is t = 0.
+    grid = coarse[:, :, None] * fine[:, None, :]
+    return grid.reshape(rate.size, -1)[:, 1 : n_steps + 1]
+
+
 def _closed_form(model: ShearBuildingModel, theta: SystemParameters, times) -> _ClosedForm:
     t = _as_times(times)
     wj, zj, wd, aj = modal_constants(model, theta)
@@ -276,11 +312,10 @@ def _closed_form(model: ShearBuildingModel, theta: SystemParameters, times) -> _
     detune = wj**2 - w**2
     denom = detune**2 + cross**2
 
-    env = np.exp(np.multiply.outer(-zj * wj, t))
-    wd_t = np.multiply.outer(wd, t)
+    damped = _damped_bases(-zj * wj + 1j * wd, times)
     bases = np.empty((model.n_dof, 8, t.size))
-    np.multiply(env, np.sin(wd_t), out=bases[:, 0])
-    np.multiply(env, np.cos(wd_t), out=bases[:, 1])
+    bases[:, 0] = damped.imag
+    bases[:, 1] = damped.real
     bases[:, 2] = np.sin(w * t)
     bases[:, 3] = np.cos(w * t)
     np.multiply(bases[:, :4], t, out=bases[:, 4:])
@@ -317,20 +352,25 @@ def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
     return np.einsum("nj,ij->ni", q, model.eigenvectors)
 
 
-def _modal_sensitivities(
+def _sensitivity_coefficients(
     model: ShearBuildingModel, theta: SystemParameters, times
-) -> np.ndarray:
-    """Derivatives of the modal response, laid out (mode, parameter, time).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Modal derivatives as coefficients over the time bases of ``_ClosedForm``.
 
     Differentiating a basis of ``_ClosedForm`` gives ``t`` times a basis of
     the same mode: ``d/dx`` of the damped pair ``(e sin, e cos)`` is ``t``
     times that pair decayed by ``d(zeta_j w_j)/dx`` and rotated by
     ``d(wd_j)/dx``, and ``d/dw`` of ``(sin(w t), cos(w t))`` is ``t`` times
     ``(cos(w t), -sin(w t))``.  Every derivative is therefore a per-mode
-    coefficient vector over the eight bases of ``_ClosedForm``, the chain rule
-    through ``(w_j, zeta_j, wd_j, a_j)`` and then ``theta`` acts on
-    ``(5, 8, n_dof)`` coefficients, and the time series are formed once,
-    by one non-BLAS contraction.
+    coefficient vector over the eight bases, and the chain rule through
+    ``(w_j, zeta_j, wd_j, a_j)`` and then ``theta`` acts on those
+    coefficients alone.
+
+    Returns
+    -------
+    (coef, bases) : ndarray, shapes (n_dof, 5, 8) and (n_dof, 8, n_times)
+        ``coef[j, p] @ bases[j]`` is the derivative of mode ``j`` with
+        respect to parameter ``PARAMETER_NAMES[p]``.
     """
     cf = _closed_form(model, theta, times)
     wj, zj, wd, denom, w = cf.wj, cf.zj, cf.wd, cf.denom, theta.omega
@@ -376,7 +416,24 @@ def _modal_sensitivities(
         d_w,
         np.concatenate([cf.bracket, np.zeros_like(cf.bracket)]) * (daj_da0 / denom),
     ])
-    return np.einsum("pbj,jbn->jpn", coef, cf.bases)
+    return np.ascontiguousarray(coef.transpose(2, 0, 1)), cf.bases
+
+
+def _modal_sensitivities(
+    model: ShearBuildingModel, theta: SystemParameters, times
+) -> np.ndarray:
+    """Derivatives of the modal response, laid out (mode, parameter, time).
+
+    One batched matmul over modes, ``(n_dof, 5, 8) @ (n_dof, 8, n_times)``,
+    forms the time series from ``_sensitivity_coefficients``.  Each output
+    entry is a sum of ``K = 8`` products within one mode, so a BLAS thread
+    split can only divide the outputs between threads, never the sum behind
+    one of them; ``tests/test_thread_invariance.py`` checks it at 4, 50 and
+    80 stories.  Should that test fail on another CPU, the non-BLAS
+    ``np.einsum("jpb,jbn->jpn", coef, bases)`` is the drop-in replacement.
+    """
+    coef, bases = _sensitivity_coefficients(model, theta, times)
+    return coef @ bases
 
 
 def response_sensitivities(
@@ -385,8 +442,7 @@ def response_sensitivities(
     """Derivatives of story displacements with respect to system parameters.
 
     The modal derivatives of ``_modal_sensitivities`` are mapped to stories
-    by the one BLAS-backed contraction behind the elementary matrices, a
-    gemm of the mode shapes ``(n_dof x n_dof)`` with the derivatives
+    by a gemm of the mode shapes ``(n_dof x n_dof)`` with the derivatives
     ``(n_dof x 5 n_times)``, so ``M = K = n_dof``.  In this orientation the
     result is bitwise identical at 1, 2 and 8 threads of OpenBLAS 0.3.31
     (Haswell kernels), whereas folding the map into the bases, one gemm

@@ -7,20 +7,27 @@ the information matrix is ``Q(z) = sum_i z_i Q_i`` and the objective to
 minimize is the negated expected log-determinant over the prior,
 estimated by a sample mean with fixed summation order.
 
-Reductions across samples run in fixed sample order, and the objective's
-reductions use ``einsum`` in its non-BLAS path.  Two BLAS-backed
-contractions remain, each in an orientation whose result is bitwise
-identical at 1, 2 and 8 BLAS threads.  The elementary matrices rest on
-the mode-to-story map in ``building.response_sensitivities``, a gemm of
-the mode shapes with the modal derivatives with ``M = K = n_dof``.  The
-Newton step's gradient and Hessian (``mc_gradient_hessian``) come from
-per-sample batched matmuls with an inner dimension of at most 15, whose
-per-sample results are summed in sample order over blocks of the fixed
-size ``SAMPLE_BLOCK``: every output entry is one short sum within one
-sample, so a BLAS thread split can only divide the outputs between
-threads, never the sum behind one of them.
-``tests/test_thread_invariance.py`` checks both at benchmark sizes, so
-every value stays bit-reproducible regardless of BLAS thread counts.
+Reductions across samples run in fixed sample order.  The BLAS-backed
+contractions are each in an orientation whose result is bitwise identical
+at 1, 2 and 8 BLAS threads: every output entry is one short sum within one
+sample (or one mode), so a BLAS thread split can only divide the outputs
+between threads, never the sum behind one of them.
+
+- The elementary matrices rest on ``building.response_sensitivities``:
+  a batched matmul over modes (``K = 8``) and the mode-to-story gemm
+  (``M = K = n_dof``).
+- ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
+  the Newton step need it, with one batched matmul over stories
+  (``K = n_dof`` within each sample).
+- The Newton step's gradient and Hessian (``mc_gradient_hessian``) come
+  from per-sample batched matmuls with an inner dimension of at most 15,
+  summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
+
+``tests/test_thread_invariance.py`` checks all of them at benchmark sizes
+and holds the modal contraction, the mode-to-story map and the assembly
+to the non-BLAS ``einsum`` each docstring names as its fallback;
+``tests/test_fim.py`` keeps the two-``einsum`` whitening as the Newton
+step's fallback.
 """
 
 from __future__ import annotations
@@ -75,25 +82,6 @@ class ElementaryFimSet:
         return self.matrices.shape[2]
 
 
-def elementary_matrices(sens: np.ndarray) -> np.ndarray:
-    """Elementary information matrices from one sensitivity field.
-
-    Parameters
-    ----------
-    sens : ndarray, shape (n_times, n_dof, 5)
-
-    Returns
-    -------
-    ndarray, shape (n_dof, 5, 5)
-        ``out[i] = sum_n sens[n, i, :] sens[n, i, :]^T``, symmetric PSD
-        by construction.
-    """
-    sens = np.asarray(sens, dtype=float)
-    if sens.ndim != 3 or sens.shape[2] != N_PARAMS:
-        raise ValueError(f"expected shape (n_times, n_dof, {N_PARAMS}), got {sens.shape}")
-    return np.einsum("nip,niq->ipq", sens, sens)
-
-
 def compute_elementary_set(
     model: ShearBuildingModel, samples: SampleSet, times
 ) -> ElementaryFimSet:
@@ -130,36 +118,17 @@ def check_sensor_vector(z, n_dof: int, budget: int | None = None, binary: bool =
     return z
 
 
-def assemble_q(z, elems: np.ndarray) -> np.ndarray:
-    """Information matrix of a placement for one sample, Q(z) = sum_i z_i Q_i.
-
-    Parameters
-    ----------
-    z : array of shape (n_dof,)
-    elems : ndarray, shape (n_dof, 5, 5)
-    """
-    z = np.asarray(z, dtype=float)
-    elems = np.asarray(elems, dtype=float)
-    if z.ndim != 1 or elems.ndim != 3 or z.shape[0] != elems.shape[0]:
-        raise ValueError(
-            f"length mismatch: z has shape {z.shape}, elems has shape {elems.shape}"
-        )
-    return np.einsum("i,ipq->pq", z, elems)
-
-
-def logdet_pd(q: np.ndarray) -> float:
-    """Log-determinant of a symmetric positive-definite matrix via Cholesky."""
-    try:
-        chol = np.linalg.cholesky(q)
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformationError(
-            "information matrix is not positive definite"
-        ) from exc
-    return float(2.0 * np.sum(np.log(np.diagonal(chol))))
-
-
 def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet) -> np.ndarray:
-    return np.einsum("i,kipq->kpq", z, fimset.matrices)
+    """Information matrices ``Q(z) = sum_i z_i Q_i`` of every sample, shape (n_samples, 5, 5).
+
+    One batched matmul over stories, ``z @ (n_samples, n_dof, 25)``: per
+    sample, each entry is one sum of ``K = n_dof`` products.  Why that is
+    thread-invariant is in the module docstring; the non-BLAS
+    ``np.einsum("i,kipq->kpq", z, fimset.matrices)`` is the fallback.
+    """
+    n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
+    stacked = fimset.matrices.reshape(n_samples, n_dof, n_params * n_params)
+    return (z @ stacked).reshape(n_samples, n_params, n_params)
 
 
 def _cholesky_all(
@@ -181,6 +150,23 @@ def _cholesky_all(
             except np.linalg.LinAlgError:
                 raise SingularInformationError(message.format(k), sample_index=k) from None
         raise  # unreachable: the batched failure must have a witness
+
+
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower-triangular matrices, by forward substitution.
+
+    Row ``i`` of ``L^{-1}`` is ``(e_i - sum_{l<i} L[i, l] row_l) / L[i, i]``,
+    evaluated for every matrix of the stack at once.
+    """
+    inv = np.zeros_like(chol)
+    n = chol.shape[-1]
+    for i in range(n):
+        row = np.zeros(chol.shape[:-2] + (n,))
+        row[..., i] = 1.0
+        for l in range(i):
+            row -= chol[..., i, l, None] * inv[..., l, :]
+        inv[..., i, :] = row / chol[..., i, i, None]
+    return inv
 
 
 def _mean_logdet(q_all: np.ndarray) -> float:
@@ -246,7 +232,8 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     ``W_ki = L_k^{-1} Q_i L_k^{-T}`` give gradient component
     ``-mean_k tr W_ki = -mean_k tr(Q^{-1} Q_i)`` and Hessian entry
     ``mean_k <W_ki, W_kj> = mean_k tr(Q^{-1} Q_i Q^{-1} Q_j)``, a symmetric
-    PSD matrix.  One factorization per sample serves every story.
+    PSD matrix.  One factorization per sample, inverted by forward
+    substitution (``_lower_inverse``), serves every story.
 
     Samples are taken in blocks of ``SAMPLE_BLOCK``.  Within a block, two
     batched matmuls whiten the elements (per sample, ``M = 5 n_dof`` and
@@ -260,7 +247,7 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     """
     z = _check_z(z, fimset)
     n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
-    chol_inv = np.linalg.inv(_cholesky_all(_assemble_all(z, fimset)))
+    chol_inv = _lower_inverse(_cholesky_all(_assemble_all(z, fimset)))
     # Contiguous right-hand operands: numpy's batched matmul over transposed
     # views took two to three times as long at 50 stories.
     chol_inv_t = np.ascontiguousarray(chol_inv.transpose(0, 2, 1))

@@ -278,6 +278,27 @@ class TestResponseSensitivities:
             probes += times.size
         assert probes >= 20
 
+    @pytest.mark.parametrize("n_dof", [1, 4, 50, 80])
+    def test_time_grid_matches_its_time_array(self, n_dof):
+        # A TimeGrid takes the table-built damped bases, an array the direct
+        # evaluation that the finite-difference and ODE oracles check.  Each
+        # parameter's (or mode's) scale is taken over a 10 s record: near
+        # t = 0 the closed form sums terms of order one to a response of
+        # order t^3, and its derivatives to less, so a 0.07 s record's own
+        # scale is set by rounding, in both paths alike.
+        model = build_uniform_shear_model(n_dof)
+        samples = sample_prior(default_prior(), 3, seed=1)
+        full_record = TimeGrid(1001, 0.01).times
+        for k in range(3):
+            theta = samples.parameters(k)
+            for fn, axes in ((response_sensitivities, (0, 1)), (modal_response, 0)):
+                scale = np.max(np.abs(fn(model, theta, full_record)), axis=axes)
+                for n_steps in (1, 7, 1000, 1001):
+                    grid = TimeGrid(n_steps, 0.01)
+                    on_array = fn(model, theta, grid.times)
+                    error = np.max(np.abs(fn(model, theta, grid) - on_array), axis=axes)
+                    assert np.all(error <= 1e-13 * scale), (fn.__name__, n_steps, k, error / scale)
+
     def test_entries_finite_and_shaped(self):
         model = build_uniform_shear_model(4)
         grid = TimeGrid(50, 0.02)

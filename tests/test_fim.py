@@ -6,11 +6,10 @@ import pytest
 from sensoropt import (
     SingularInformationError,
     TimeGrid,
-    assemble_q,
     build_uniform_shear_model,
+    compute_elementary_set,
     default_prior,
-    elementary_matrices,
-    logdet_pd,
+    fim,
     mc_gradient_hessian,
     mc_objective,
     preflight_check,
@@ -60,24 +59,32 @@ def _diag5(*entries):
     return q
 
 
-class TestElementaryMatrices:
-    def test_zero_sensitivities(self):
-        assert np.all(elementary_matrices(np.zeros((10, 3, 5))) == 0.0)
+def _elementary_from(monkeypatch, sens) -> np.ndarray:
+    """Elementary matrices of one sample whose sensitivity field is ``sens``."""
+    sens = np.asarray(sens, dtype=float)
+    monkeypatch.setattr(fim, "response_sensitivities", lambda model, theta, times: sens)
+    model = build_uniform_shear_model(sens.shape[1])
+    samples = sample_prior(default_prior(), 1, seed=0)
+    return compute_elementary_set(model, samples, TimeGrid(sens.shape[0], 0.01)).matrices[0]
 
-    def test_single_step_outer_product(self):
+
+class TestElementaryMatrices:
+    def test_zero_sensitivities(self, monkeypatch):
+        assert np.all(_elementary_from(monkeypatch, np.zeros((10, 3, 5))) == 0.0)
+
+    def test_single_step_outer_product(self, monkeypatch):
         g = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
-        sens = g.reshape(1, 1, 5)
-        q = elementary_matrices(sens)[0]
+        q = _elementary_from(monkeypatch, g.reshape(1, 1, 5))[0]
         np.testing.assert_allclose(q, np.outer(g, g), rtol=0, atol=0)
         assert np.linalg.matrix_rank(q) == 1
         assert np.trace(q) == pytest.approx(np.dot(g, g))
 
     def test_against_brute_force_loop(self):
         model = build_uniform_shear_model(2)
-        theta = sample_prior(default_prior(), 1, seed=3).parameters(0)
+        samples = sample_prior(default_prior(), 1, seed=3)
         grid = TimeGrid(100, 0.01)
-        sens = response_sensitivities(model, theta, grid)
-        fast = elementary_matrices(sens)
+        sens = response_sensitivities(model, samples.parameters(0), grid)
+        fast = compute_elementary_set(model, samples, grid).matrices[0]
         slow = np.zeros_like(fast)
         for i in range(2):
             for p in range(5):
@@ -96,41 +103,42 @@ class TestElementaryMatrices:
 
 class TestAssembleQ:
     def test_zero_weights(self):
-        elems = np.stack([np.eye(5), 2 * np.eye(5)])
-        assert np.all(assemble_q(np.zeros(2), elems) == 0.0)
+        fimset = _fimset_from([[np.eye(5), 2 * np.eye(5)]])
+        assert np.all(fim._assemble_all(np.zeros(2), fimset) == 0.0)
 
     def test_one_hot(self):
         rng = np.random.default_rng(0)
         elems = rng.normal(size=(3, 5, 5))
-        np.testing.assert_array_equal(assemble_q(np.eye(3)[1], elems), elems[1])
+        fimset = _fimset_from([elems])
+        np.testing.assert_array_equal(fim._assemble_all(np.eye(3)[1], fimset)[0], elems[1])
 
     def test_linearity_midpoint(self):
         rng = np.random.default_rng(1)
-        elems = rng.normal(size=(4, 5, 5))
+        fimset = _fimset_from([rng.normal(size=(4, 5, 5))])
         z1, z2 = rng.uniform(size=4), rng.uniform(size=4)
-        mid = assemble_q((z1 + z2) / 2, elems)
-        avg = (assemble_q(z1, elems) + assemble_q(z2, elems)) / 2
+        mid = fim._assemble_all((z1 + z2) / 2, fimset)
+        avg = (fim._assemble_all(z1, fimset) + fim._assemble_all(z2, fimset)) / 2
         np.testing.assert_allclose(mid, avg, atol=1e-15 * np.max(np.abs(avg)))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            assemble_q(np.ones(3), np.zeros((2, 5, 5)))
+            mc_objective(np.ones(3), _fimset_from(np.zeros((1, 2, 5, 5))))
 
 
 class TestLogdetPd:
+    # The log-determinant of one sample at one story, through mc_objective.
     def test_identity(self):
-        assert logdet_pd(np.eye(5)) == 0.0
+        assert mc_objective(np.ones(1), _fimset_from([[np.eye(5)]])) == 0.0
 
     def test_diagonal_by_hand(self):
         # product of the diagonal: 120
-        assert logdet_pd(np.diag([1.0, 2.0, 3.0, 4.0, 5.0])) == pytest.approx(
-            4.787491742782046, rel=1e-12
-        )
+        fimset = _fimset_from([[np.diag([1.0, 2.0, 3.0, 4.0, 5.0])]])
+        assert -mc_objective(np.ones(1), fimset) == pytest.approx(4.787491742782046, rel=1e-12)
 
     def test_singular_rejected(self):
         q = np.diag([1.0, 1.0, 0.0, 1.0, 1.0])
         with pytest.raises(SingularInformationError):
-            logdet_pd(q)
+            mc_objective(np.ones(1), _fimset_from([[q]]))
 
 
 class TestMcObjective:
@@ -250,6 +258,24 @@ class TestMcHessian:
         hess_einsum = np.einsum("kiab,kjab->ij", whitened, whitened) / n_samples
         np.testing.assert_allclose(grad, grad_einsum, rtol=1e-14)
         np.testing.assert_allclose(hess, hess_einsum, rtol=1e-14)
+
+
+class TestLowerInverse:
+    def test_matches_linalg_inv(self, four_dof_fimset):
+        rng = np.random.default_rng(18)
+        z = random_feasible_z(rng, 4, 2, mix=0.5)
+        chol = np.linalg.cholesky(fim._assemble_all(z, four_dof_fimset))
+        inverse = fim._lower_inverse(chol)
+        # LU with pivoting leaves rounding noise above the diagonal of the
+        # general inverse; the triangular one is exactly zero there.
+        reference = np.tril(np.linalg.inv(chol))
+        assert np.all(np.triu(inverse, 1) == 0.0)
+        # Below it, entries that cancel are judged against the componentwise
+        # scale |X| |L| |X| of triangular inversion, X = L^{-1}.
+        scale = np.abs(reference) @ np.abs(chol) @ np.abs(reference)
+        lower = np.tril(np.ones((5, 5), dtype=bool))
+        error = np.abs(inverse - reference)[:, lower]
+        assert np.all(error <= 1e-13 * scale[:, lower]), np.max(error / scale[:, lower])
 
 
 class TestObjectiveShape:

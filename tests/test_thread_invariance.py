@@ -1,15 +1,19 @@
 """Thread invariance of the BLAS-backed kernels at benchmark sizes.
 
-``response_sensitivities`` maps the modal derivatives to stories with one
-gemm (``np.tensordot``), and ``mc_gradient_hessian`` whitens the
-elementary matrices and forms the Hessian terms with per-sample batched
-matmuls.  OpenBLAS does not promise the same bits at every thread count,
-so fresh processes compute SHA-256 digests at 1, 2 and 8 threads and must
-agree.  Acceptance criterion 9 builds only 4 stories, where the map's
-inner dimension is 4, so it cannot see an orientation whose result varies
-with the thread count; the sizes here are those of the benchmark workloads
+``response_sensitivities`` forms the modal derivatives with one batched
+matmul over modes and maps them to stories with one gemm
+(``np.tensordot``); ``mc_objective`` assembles ``Q(z)`` with one batched
+matmul over stories; and ``mc_gradient_hessian`` whitens the elementary
+matrices and forms the Hessian terms with per-sample batched matmuls.
+OpenBLAS does not promise the same bits at every thread count, so fresh
+processes compute SHA-256 digests at 1, 2 and 8 threads and must agree.
+Acceptance criterion 9 builds only 4 stories, where the map's inner
+dimension is 4, so it cannot see an orientation whose result varies with
+the thread count; the sizes here are those of the benchmark workloads
 (4 and 50 stories, and 80 for the tall building), plus a sample count that
-is not a multiple of the Newton step's sample block.
+is not a multiple of the Newton step's sample block.  The other tests
+hold the modal contraction, the mode-to-story map and the assembly to
+the non-BLAS ``einsum`` each docstring names as its fallback.
 """
 
 import json
@@ -21,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 import sensoropt
-from sensoropt import SystemParameters, TimeGrid, build_uniform_shear_model, building
+from sensoropt import (
+    SystemParameters, TimeGrid, build_uniform_shear_model, building, compute_elementary_set,
+    default_prior, fim, sample_prior,
+)
+
+from conftest import random_feasible_z
 
 THREAD_COUNTS = ("1", "2", "8")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -34,7 +43,7 @@ import numpy as np
 
 from sensoropt import (
     SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
-    default_prior, mc_gradient_hessian, response_sensitivities, sample_prior,
+    default_prior, mc_gradient_hessian, mc_objective, response_sensitivities, sample_prior,
 )
 from sensoropt.fim import ElementaryFimSet
 
@@ -71,6 +80,13 @@ for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
     digests[f"gradient and Hessian, {n_dof} stories x {n_samples} samples"] = (
         digest(grad) + digest(hess)
     )
+    if n_samples == 130:
+        continue
+    binary = (np.arange(n_dof) % 2 == 1).astype(float)
+    for kind, weights in (("binary", binary), ("interior", z)):
+        digests[f"objective, {n_dof} stories x {n_samples} samples, {kind} z"] = digest(
+            mc_objective(weights, fimset)
+        )
 print(json.dumps(digests))
 """
 
@@ -91,7 +107,7 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 7
+    assert len(reference) == 11
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
@@ -109,3 +125,37 @@ def test_tensordot_map_matches_non_blas_einsum():
         scale = np.max(np.abs(reference), axis=(0, 2))
         error = np.max(np.abs(sens - reference), axis=(0, 2))
         assert np.all(error <= 1e-13 * scale), (n_dof, error / scale)
+
+
+def test_modal_matmul_matches_non_blas_einsum():
+    # The einsum is the drop-in replacement named in _modal_sensitivities.
+    theta = SystemParameters(omega0=2 * np.pi, alpha=0.1, beta=1e-4, omega=2 * np.pi * 0.9, a0=3.0)
+    grid = TimeGrid(1000, 0.01)
+    for n_dof in (4, 50, 80):
+        model = build_uniform_shear_model(n_dof)
+        coef, bases = building._sensitivity_coefficients(model, theta, grid)
+        reference = np.einsum("jpb,jbn->jpn", coef, bases)
+        dq = building._modal_sensitivities(model, theta, grid)
+        scale = np.max(np.abs(reference), axis=(0, 2))
+        error = np.max(np.abs(dq - reference), axis=(0, 2))
+        assert np.all(error <= 1e-13 * scale), (n_dof, error / scale)
+
+
+def test_assembly_matmul_matches_non_blas_einsum(four_dof_fimset):
+    # The einsum is the fallback named in fim._assemble_all.
+    fifty = compute_elementary_set(
+        build_uniform_shear_model(50), sample_prior(default_prior(), 10, seed=4),
+        TimeGrid(200, 0.01),
+    )
+    rng = np.random.default_rng(17)
+    for fimset in (four_dof_fimset, fifty):
+        n_dof = fimset.n_dof
+        binary = (np.arange(n_dof) % 2 == 1).astype(float)
+        for z in (binary, random_feasible_z(rng, n_dof, n_dof // 2, mix=0.5)):
+            reference = np.einsum("i,kipq->kpq", z, fimset.matrices)
+            # Off-diagonal entries cancel, so each entry is judged against
+            # its PSD bound sqrt(Q_pp Q_qq), the same for both sums.
+            diagonal = np.einsum("kpp->kp", reference)
+            scale = np.sqrt(diagonal[:, :, None] * diagonal[:, None, :])
+            error = np.abs(fim._assemble_all(z, fimset) - reference)
+            assert np.all(error <= 1e-14 * scale), np.max(error / scale)
