@@ -18,6 +18,11 @@ name        meaning
 ``a0``      ground-acceleration amplitude, m/s^2
 ==========  =====================================================
 
+The uniform building's mode shapes and frequencies are known in closed
+form (``build_uniform_shear_model``); a general pattern pair is reduced
+to a standard symmetric eigenproblem with numpy's LAPACK bindings
+(``build_model``).
+
 On a ``TimeGrid`` the damped time bases are built from two short tables
 per mode (``_damped_bases``); an arbitrary time array is evaluated
 directly, and ``tests/test_building.py`` holds the two paths together.
@@ -28,7 +33,9 @@ coefficients over the time bases (``K = 8``, ``_modal_sensitivities``),
 and a gemm that maps them to stories (``M = K = n_dof``,
 ``response_sensitivities``).  ``tests/test_thread_invariance.py`` checks
 both at benchmark sizes and holds each to the non-BLAS ``einsum`` its
-docstring names as the fallback.
+docstring names as the fallback.  Every stage writes into
+``SensitivityBuffers``, which the elementary-matrix stage allocates once
+for all samples.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
 
 PARAMETER_NAMES = ("omega0", "alpha", "beta", "omega", "a0")
 N_PARAMS = len(PARAMETER_NAMES)
@@ -171,7 +177,11 @@ def build_uniform_shear_model(n_dof: int) -> ShearBuildingModel:
     """Build the uniform shear building with identity mass pattern.
 
     The stiffness pattern is tridiagonal with 2 on the diagonal (1 in the
-    last entry, the free roof) and -1 on the off-diagonals.
+    last entry, the free roof) and -1 on the off-diagonals.  Its
+    eigenpairs are known in closed form: with
+    ``theta_j = (2j - 1) pi / (2 n + 1)``, mode ``j`` has eigenvalue
+    ``4 sin^2(theta_j / 2)`` and shape ``sin(i theta_j)`` at story ``i``.
+    No eigensolver runs, so the modes do not depend on BLAS threading.
 
     Parameters
     ----------
@@ -191,22 +201,26 @@ def build_uniform_shear_model(n_dof: int) -> ShearBuildingModel:
     stiffness[idx + 1, idx] = -1.0
 
     if n_dof == 1:
+        # Exact; the closed form below rounds sin(pi / 6) below 1/2.
         evals = np.array([1.0])
         vecs = np.array([[1.0]])
     else:
-        # Symmetric tridiagonal solver keeps the decomposition exact and
-        # bit-reproducible regardless of BLAS threading.
-        evals, vecs = eigh_tridiagonal(
-            stiffness.diagonal().copy(), np.full(n_dof - 1, -1.0)
-        )
+        # i theta_j is an integer multiple of 2 pi / period, reduced
+        # modulo period in integers so the sine's argument stays below 2 pi.
+        period = 2 * (2 * n_dof + 1)
+        odd = 2 * np.arange(1, n_dof + 1) - 1
+        evals = 4.0 * np.sin(odd * (np.pi / period)) ** 2
+        multiples = np.multiply.outer(np.arange(1, n_dof + 1), odd) % period
+        vecs = np.sin(multiples * (2.0 * np.pi / period))
     return _finalize_model(mass, stiffness, evals, vecs)
 
 
 def build_model(mass_pattern, stiffness_pattern) -> ShearBuildingModel:
     """Build a model from general SPD mass/stiffness pattern matrices.
 
-    The generalized symmetric eigenproblem is reduced through a Cholesky
-    factorization of the mass pattern (LAPACK's standard reduction).
+    The generalized symmetric eigenproblem ``K v = lambda M v`` is reduced
+    through the Cholesky factor ``M = L L^T`` to the standard problem of
+    ``L^{-1} K L^{-T}``, whose eigenvectors ``y`` give ``v = L^{-T} y``.
     """
     mass = np.array(mass_pattern, dtype=float)
     stiffness = np.array(stiffness_pattern, dtype=float)
@@ -219,7 +233,10 @@ def build_model(mass_pattern, stiffness_pattern) -> ShearBuildingModel:
     for name, arr in (("mass", mass), ("stiffness", stiffness)):
         if not np.allclose(arr, arr.T, rtol=0, atol=1e-12 * np.abs(arr).max()):
             raise ValueError(f"{name} pattern must be symmetric")
-    evals, vecs = eigh(stiffness, mass)
+    chol = np.linalg.cholesky(mass)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, stiffness).T)
+    evals, reduced_vecs = np.linalg.eigh(reduced)
+    vecs = np.linalg.solve(chol.T, reduced_vecs)
     return _finalize_model(mass, stiffness, evals, vecs)
 
 
@@ -279,7 +296,43 @@ class _ClosedForm(NamedTuple):
     bases: np.ndarray  # (n_dof, 8, n_times)
 
 
-def _damped_bases(rate: np.ndarray, times) -> np.ndarray:
+class SensitivityBuffers(NamedTuple):
+    """Arrays that ``response_sensitivities`` writes its stages into.
+
+    ``compute_elementary_set`` allocates them once and passes them to every
+    sample's call, so the per-sample arrays are neither allocated nor
+    page-faulted afresh; every other caller leaves them out and gets fresh
+    ones.  Each call rewrites all four before it reads them.
+    """
+
+    damped: np.ndarray  # complex (n_dof, table length), see _damped_bases
+    bases: np.ndarray  # (n_dof, 8, n_times), as in _ClosedForm
+    modal: np.ndarray  # (n_dof, 5, n_times), as from _modal_sensitivities
+    story: np.ndarray  # (n_dof, 5, n_times), story-major sensitivities
+
+
+def _grid_split(n_steps: int) -> tuple[int, int]:
+    """Coarse and fine table lengths of ``_damped_bases`` on a grid of ``n_steps``."""
+    fine = math.isqrt(n_steps) + 1
+    return n_steps // fine + 1, fine
+
+
+def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
+    """Uninitialized ``SensitivityBuffers`` for ``n_dof`` stories on ``times``."""
+    if isinstance(times, TimeGrid):
+        n_times = times.n_steps
+        table = math.prod(_grid_split(n_times))
+    else:
+        n_times = table = _as_times(times).size
+    return SensitivityBuffers(
+        damped=np.empty((n_dof, table), dtype=complex),
+        bases=np.empty((n_dof, 8, n_times)),
+        modal=np.empty((n_dof, N_PARAMS, n_times)),
+        story=np.empty((n_dof, N_PARAMS, n_times)),
+    )
+
+
+def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
     """``exp(rate_j t)`` for complex ``rate_j = -zeta_j w_j + i wd_j``, shape (n_dof, n_times).
 
     Its imaginary and real parts are the damped bases ``e sin(wd_j t)`` and
@@ -289,21 +342,28 @@ def _damped_bases(rate: np.ndarray, times) -> np.ndarray:
     ``b dt``: about ``2 sqrt(n_steps)`` complex exponentials per mode instead
     of ``n_steps``.  Every entry is the product of two directly evaluated
     values, not a recurrence, so its error does not grow with ``n``.  An
-    arbitrary time array is evaluated directly.
+    arbitrary time array is evaluated directly.  The table is written into
+    ``out`` (``SensitivityBuffers.damped``); the result is a view of it.
     """
     if not isinstance(times, TimeGrid):
-        return np.exp(np.multiply.outer(rate, _as_times(times)))
+        np.multiply.outer(rate, _as_times(times), out=out)
+        return np.exp(out, out=out)
     n_steps = times.n_steps
-    m = math.isqrt(n_steps) + 1
+    n_coarse, m = _grid_split(n_steps)
     coarse = np.exp(np.multiply.outer(rate, times.dt * np.arange(0, n_steps + 1, m)))
     fine = np.exp(np.multiply.outer(rate, times.dt * np.arange(m)))
     # Entry (a, b) of the product is step a m + b; step 0 is t = 0.
-    grid = coarse[:, :, None] * fine[:, None, :]
-    return grid.reshape(rate.size, -1)[:, 1 : n_steps + 1]
+    np.multiply(coarse[:, :, None], fine[:, None, :], out=out.reshape(rate.size, n_coarse, m))
+    return out[:, 1 : n_steps + 1]
 
 
-def _closed_form(model: ShearBuildingModel, theta: SystemParameters, times) -> _ClosedForm:
+def _closed_form(
+    model: ShearBuildingModel, theta: SystemParameters, times,
+    buffers: SensitivityBuffers | None = None,
+) -> _ClosedForm:
     t = _as_times(times)
+    if buffers is None:
+        buffers = sensitivity_buffers(model.n_dof, times)
     wj, zj, wd, aj = modal_constants(model, theta)
     w = theta.omega
 
@@ -312,8 +372,8 @@ def _closed_form(model: ShearBuildingModel, theta: SystemParameters, times) -> _
     detune = wj**2 - w**2
     denom = detune**2 + cross**2
 
-    damped = _damped_bases(-zj * wj + 1j * wd, times)
-    bases = np.empty((model.n_dof, 8, t.size))
+    damped = _damped_bases(-zj * wj + 1j * wd, times, buffers.damped)
+    bases = buffers.bases
     bases[:, 0] = damped.imag
     bases[:, 1] = damped.real
     bases[:, 2] = np.sin(w * t)
@@ -353,7 +413,8 @@ def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
 
 
 def _sensitivity_coefficients(
-    model: ShearBuildingModel, theta: SystemParameters, times
+    model: ShearBuildingModel, theta: SystemParameters, times,
+    buffers: SensitivityBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modal derivatives as coefficients over the time bases of ``_ClosedForm``.
 
@@ -372,7 +433,7 @@ def _sensitivity_coefficients(
         ``coef[j, p] @ bases[j]`` is the derivative of mode ``j`` with
         respect to parameter ``PARAMETER_NAMES[p]``.
     """
-    cf = _closed_form(model, theta, times)
+    cf = _closed_form(model, theta, times, buffers)
     wj, zj, wd, denom, w = cf.wj, cf.zj, cf.wd, cf.denom, theta.omega
     trans_sin, cross, detune, _ = cf.bracket
     zero = np.zeros_like(wj)
@@ -420,7 +481,8 @@ def _sensitivity_coefficients(
 
 
 def _modal_sensitivities(
-    model: ShearBuildingModel, theta: SystemParameters, times
+    model: ShearBuildingModel, theta: SystemParameters, times,
+    buffers: SensitivityBuffers | None = None,
 ) -> np.ndarray:
     """Derivatives of the modal response, laid out (mode, parameter, time).
 
@@ -432,12 +494,13 @@ def _modal_sensitivities(
     80 stories.  Should that test fail on another CPU, the non-BLAS
     ``np.einsum("jpb,jbn->jpn", coef, bases)`` is the drop-in replacement.
     """
-    coef, bases = _sensitivity_coefficients(model, theta, times)
-    return coef @ bases
+    coef, bases = _sensitivity_coefficients(model, theta, times, buffers)
+    return np.matmul(coef, bases, out=None if buffers is None else buffers.modal)
 
 
 def response_sensitivities(
-    model: ShearBuildingModel, theta: SystemParameters, times
+    model: ShearBuildingModel, theta: SystemParameters, times,
+    *, buffers: SensitivityBuffers | None = None,
 ) -> np.ndarray:
     """Derivatives of story displacements with respect to system parameters.
 
@@ -450,7 +513,11 @@ def response_sensitivities(
     ``tests/test_thread_invariance.py`` checks the map at 4, 50 and 80
     stories.  Should that test fail on another CPU, the non-BLAS
     ``np.einsum("ij,jpn->ipn", model.eigenvectors, dq)`` is the drop-in
-    replacement for the ``tensordot``.
+    replacement for the ``np.dot``.
+
+    ``buffers`` (keyword only) are the ``SensitivityBuffers`` to write
+    into; the result is then a view of ``buffers.story``, valid until the
+    next call with the same buffers.  Left out, fresh ones are allocated.
 
     Returns
     -------
@@ -459,5 +526,9 @@ def response_sensitivities(
         at time ``t_n`` with respect to parameter ``PARAMETER_NAMES[p]``.
         It is a view of a contiguous (story, parameter, time) array.
     """
-    dq = _modal_sensitivities(model, theta, times)
-    return np.tensordot(model.eigenvectors, dq, axes=([1], [0])).transpose(2, 0, 1)
+    if buffers is None:
+        buffers = sensitivity_buffers(model.n_dof, times)
+    dq = _modal_sensitivities(model, theta, times, buffers)
+    n_dof = model.n_dof
+    np.dot(model.eigenvectors, dq.reshape(n_dof, -1), out=buffers.story.reshape(n_dof, -1))
+    return buffers.story.transpose(2, 0, 1)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .building import N_PARAMS, ShearBuildingModel, response_sensitivities
+from .building import N_PARAMS, ShearBuildingModel, response_sensitivities, sensitivity_buffers
 from .priors import SampleSet
 
 
@@ -88,17 +88,21 @@ def compute_elementary_set(
     """Precompute elementary matrices for every prior sample.
 
     Samples are processed one at a time in order; the result depends only
-    on (model, samples, times).
+    on (model, samples, times).  Every sample's sensitivities are written
+    into the same ``building.SensitivityBuffers``, allocated here once.
     """
     out = np.empty((samples.n_samples, model.n_dof, N_PARAMS, N_PARAMS))
+    buffers = sensitivity_buffers(model.n_dof, times)
     for k in range(samples.n_samples):
-        sens = response_sensitivities(model, samples.parameters(k), times)
-        if not np.all(np.isfinite(sens)):
-            raise FloatingPointError(f"non-finite sensitivities for sample {k}")
+        sens = response_sensitivities(model, samples.parameters(k), times, buffers=buffers)
         # The sensitivities are stored (story, parameter, time): summing
         # along contiguous time keeps the einsum loop vectorised.
         story_major = sens.transpose(1, 2, 0)
-        out[k] = np.einsum("ipn,iqn->ipq", story_major, story_major)
+        np.einsum("ipn,iqn->ipq", story_major, story_major, out=out[k])
+        # The diagonal sums the squares of every sensitivity, so it is
+        # finite exactly when they all are (and their squares do not overflow).
+        if not np.all(np.isfinite(out[k])):
+            raise FloatingPointError(f"non-finite sensitivities for sample {k}")
     out.setflags(write=False)
     return ElementaryFimSet(matrices=out)
 
@@ -310,26 +314,3 @@ class CountingEvaluator:
         self.n_hessian += 1
         return mc_gradient_hessian(z, self.fimset)
 
-
-def save_elementary_npz(fimset: ElementaryFimSet, path) -> None:
-    """Binary dump of the elementary matrices for offline inspection."""
-    np.savez_compressed(path, matrices=fimset.matrices)
-
-
-def load_elementary_npz(path) -> ElementaryFimSet:
-    with np.load(path) as data:
-        matrices = np.array(data["matrices"])
-    matrices.setflags(write=False)
-    return ElementaryFimSet(matrices=matrices)
-
-
-def save_elementary_csv(fimset: ElementaryFimSet, path) -> None:
-    """CSV dump keyed (sample, story, row, col), one matrix entry per line."""
-    m = fimset.matrices
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample,story,row,col,value\n")
-        for k in range(fimset.n_samples):
-            for i in range(fimset.n_dof):
-                for p in range(fimset.n_params):
-                    for q in range(fimset.n_params):
-                        fh.write(f"{k},{i + 1},{p},{q},{float(m[k, i, p, q])!r}\n")

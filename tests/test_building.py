@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 
 from sensoropt import (
     PARAMETER_NAMES,
@@ -74,6 +75,22 @@ class TestBuildUniformShearModel:
         )
         assert np.all(lam > 0)
         assert np.all(np.diff(lam) > 0)
+
+    @pytest.mark.parametrize("n_dof", [1, 2, 4, 50, 80, 200])
+    def test_closed_form_matches_tridiagonal_solver(self, n_dof):
+        model = build_uniform_shear_model(n_dof)
+        diagonal = model.stiffness_pattern.diagonal().copy()
+        evals, vecs = eigh_tridiagonal(diagonal, np.full(n_dof - 1, -1.0))
+        # Every eigenvalue lies in (0, 4), so an absolute bound is relative too.
+        np.testing.assert_allclose(model.eigenvalues, evals, rtol=0, atol=1e-13)
+        # Eigenvectors are fixed only up to sign, and the sign convention
+        # (largest-magnitude entry positive) can flip a mode whose two
+        # largest entries nearly tie in magnitude, as one mode at 80
+        # stories does.  That flip is harmless: every response term
+        # carries phi_ij * sum_i phi_ij, so the sign cancels.
+        vecs = vecs / np.linalg.norm(vecs, axis=0)
+        signs = np.sign(np.sum(vecs * model.eigenvectors, axis=0))
+        np.testing.assert_allclose(model.eigenvectors, vecs * signs, rtol=0, atol=1e-12)
 
     def test_general_builder_matches_uniform(self):
         uniform = build_uniform_shear_model(5)

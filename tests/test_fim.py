@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sensoropt import (
+    Marginal,
+    SampleSet,
     SingularInformationError,
     TimeGrid,
     build_uniform_shear_model,
@@ -16,12 +19,7 @@ from sensoropt import (
     response_sensitivities,
     sample_prior,
 )
-from sensoropt.fim import (
-    ElementaryFimSet,
-    load_elementary_npz,
-    save_elementary_csv,
-    save_elementary_npz,
-)
+from sensoropt.fim import ElementaryFimSet
 
 from conftest import random_feasible_z
 
@@ -62,7 +60,9 @@ def _diag5(*entries):
 def _elementary_from(monkeypatch, sens) -> np.ndarray:
     """Elementary matrices of one sample whose sensitivity field is ``sens``."""
     sens = np.asarray(sens, dtype=float)
-    monkeypatch.setattr(fim, "response_sensitivities", lambda model, theta, times: sens)
+    monkeypatch.setattr(
+        fim, "response_sensitivities", lambda model, theta, times, *, buffers=None: sens
+    )
     model = build_uniform_shear_model(sens.shape[1])
     samples = sample_prior(default_prior(), 1, seed=0)
     return compute_elementary_set(model, samples, TimeGrid(sens.shape[0], 0.01)).matrices[0]
@@ -78,6 +78,35 @@ class TestElementaryMatrices:
         np.testing.assert_allclose(q, np.outer(g, g), rtol=0, atol=0)
         assert np.linalg.matrix_rank(q) == 1
         assert np.trace(q) == pytest.approx(np.dot(g, g))
+
+    def test_non_finite_sensitivities_rejected(self, monkeypatch):
+        sens = np.ones((10, 3, 5))
+        sens[4, 1, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="sample 0"):
+            _elementary_from(monkeypatch, sens)
+
+    @pytest.mark.parametrize("n_dof", [4, 50, 80])
+    def test_reused_buffers_match_allocating_path(self, n_dof):
+        # The stage writes every sample into one set of buffers; running
+        # the samples in reverse order as well catches a buffer entry that
+        # one sample leaves over for the next.
+        prior = dataclasses.replace(  # underdamped in every mode at 80 stories
+            default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15)
+        )
+        samples = sample_prior(prior, 4, seed=5)
+        model = build_uniform_shear_model(n_dof)
+        grid = TimeGrid(1000, 0.01)
+        expected = []
+        for k in range(samples.n_samples):
+            sens = response_sensitivities(model, samples.parameters(k), grid)
+            story_major = sens.transpose(1, 2, 0)
+            expected.append(np.einsum("ipn,iqn->ipq", story_major, story_major))
+        expected = np.array(expected)
+        forward = compute_elementary_set(model, samples, grid).matrices
+        reverse = SampleSet(values=samples.values[::-1].copy(), seed=samples.seed)
+        backward = compute_elementary_set(model, reverse, grid).matrices[::-1]
+        np.testing.assert_array_equal(forward, expected)
+        np.testing.assert_array_equal(backward, expected)
 
     def test_against_brute_force_loop(self):
         model = build_uniform_shear_model(2)
@@ -311,19 +340,3 @@ class TestPreflight:
             preflight_check(fimset)
         assert excinfo.value.sample_index == 1
 
-
-class TestDumps:
-    def test_npz_roundtrip(self, four_dof_fimset, tmp_path):
-        path = tmp_path / "elems.npz"
-        save_elementary_npz(four_dof_fimset, path)
-        loaded = load_elementary_npz(path)
-        np.testing.assert_array_equal(loaded.matrices, four_dof_fimset.matrices)
-
-    def test_csv_keying(self, tmp_path):
-        fimset = _fimset_from([[np.arange(25, dtype=float).reshape(5, 5)]])
-        path = tmp_path / "elems.csv"
-        save_elementary_csv(fimset, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample,story,row,col,value"
-        assert lines[1] == "0,1,0,0,0.0"
-        assert len(lines) == 1 + 25

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sensoropt
 from sensoropt import PipelineError, run_pipeline, validate_config, write_report
 
 SMALL = {
@@ -179,3 +181,42 @@ class TestCli:
         a, b = outputs
         for name in ("report.json", "placement.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+IMPORT_GUARD_SCRIPT = """
+import json
+import runpy
+import sys
+
+import sensoropt
+from sensoropt import run_pipeline, validate_config
+
+config_path, out = sys.argv[1:]
+with open(config_path, encoding="utf-8") as fh:
+    run_pipeline(validate_config(json.load(fh)))
+# What ``python -m sensoropt.cli place`` runs, in this process.
+sys.argv = ["sensoropt.cli", "place", "--config", config_path, "--out", out, "--quiet"]
+try:
+    runpy.run_module("sensoropt.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_placement_does_not_load_scipy(tmp_path):
+    # SciPy costs a quarter of a second to import and only the tests'
+    # oracles need it; a lazy import anywhere on the placement path would
+    # show up here.
+    config_path = tmp_path / "c.json"
+    config_path.write_text(json.dumps(SMALL))
+    env = dict(os.environ)
+    src = str(Path(sensoropt.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD_SCRIPT, str(config_path), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "report.json").exists()
+    assert json.loads(proc.stdout) == []

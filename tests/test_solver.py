@@ -17,6 +17,8 @@ from sensoropt import (
     sample_prior,
     solve_relaxed,
 )
+from sensoropt.solver import _newton_direction
+
 from conftest import random_feasible_z
 
 
@@ -101,6 +103,35 @@ class TestSolveRelaxed:
     def test_custom_start_must_be_feasible(self, four_dof_fimset):
         with pytest.raises(ValueError):
             solve_relaxed(four_dof_fimset, 2, z0=np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+class TestNewtonDirection:
+    def test_solves_the_bordered_system(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6))
+        hess, grad = a @ a.T + np.eye(6), rng.normal(size=6)
+        dz, w = _newton_direction(hess.copy(), grad)
+        # [H 1; 1^T 0] [dz; w] = [-g; 0]
+        bordered = np.block([[hess, np.ones((6, 1))], [np.ones((1, 6)), np.zeros((1, 1))]])
+        expected = np.linalg.solve(bordered, np.concatenate([-grad, [0.0]]))
+        np.testing.assert_allclose(np.append(dz, w), expected, rtol=1e-12, atol=1e-12)
+
+    def test_ridge_retry_on_singular_hessian(self):
+        hess = np.diag([1.0, 2.0, 0.0])
+        dz, w = _newton_direction(hess, np.array([1.0, -1.0, 0.5]))
+        assert np.all(np.isfinite(dz)) and np.isfinite(w)
+        assert hess[2, 2] > 0.0  # the ridge went onto the diagonal
+        assert abs(dz.sum()) <= 1e-9 * np.max(np.abs(dz))
+
+    @pytest.mark.parametrize("where", ["hessian", "gradient"])
+    def test_non_finite_system_rejected(self, where):
+        hess, grad = np.eye(3), np.ones(3)
+        if where == "hessian":
+            hess[0, 1] = hess[1, 0] = np.nan
+        else:
+            grad[2] = np.inf
+        with pytest.raises(ValueError, match="infinite or NaN"):
+            _newton_direction(hess, grad)
 
 
 class TestRoundSolution:

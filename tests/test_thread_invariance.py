@@ -2,9 +2,10 @@
 
 ``response_sensitivities`` forms the modal derivatives with one batched
 matmul over modes and maps them to stories with one gemm
-(``np.tensordot``); ``mc_objective`` assembles ``Q(z)`` with one batched
-matmul over stories; and ``mc_gradient_hessian`` whitens the elementary
-matrices and forms the Hessian terms with per-sample batched matmuls.
+(``np.dot``); ``mc_objective`` assembles ``Q(z)`` with one batched
+matmul over stories; ``mc_gradient_hessian`` whitens the elementary
+matrices and forms the Hessian terms with per-sample batched matmuls; and
+the solver factors and solves each Newton system with LAPACK.
 OpenBLAS does not promise the same bits at every thread count, so fresh
 processes compute SHA-256 digests at 1, 2 and 8 threads and must agree.
 Acceptance criterion 9 builds only 4 stories, where the map's inner
@@ -36,16 +37,18 @@ THREAD_COUNTS = ("1", "2", "8")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 DIGEST_SCRIPT = """
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
 from sensoropt import (
-    SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
+    Marginal, SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
     default_prior, mc_gradient_hessian, mc_objective, response_sensitivities, sample_prior,
 )
 from sensoropt.fim import ElementaryFimSet
+from sensoropt.solver import _newton_direction
 
 
 def digest(a):
@@ -87,6 +90,19 @@ for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
         digests[f"objective, {n_dof} stories x {n_samples} samples, {kind} z"] = digest(
             mc_objective(weights, fimset)
         )
+
+# The narrower omega0 prior keeps every mode underdamped at 80 stories.
+tall_prior = dataclasses.replace(default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15))
+sets[80] = compute_elementary_set(build_uniform_shear_model(80), sample_prior(tall_prior, 10, 2), grid)
+for n_dof in (4, 50, 80):
+    # The barrier Newton system of solve_relaxed at t = 10.
+    z = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
+    grad, hess = mc_gradient_hessian(z, sets[n_dof])
+    grad = 10.0 * grad - 1.0 / z + 1.0 / (1.0 - z)
+    hess = 10.0 * hess
+    hess[np.diag_indices_from(hess)] += 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
+    dz, w = _newton_direction(hess, grad)
+    digests[f"Newton direction, {n_dof} stories"] = digest(dz) + digest(np.array(w))
 print(json.dumps(digests))
 """
 
@@ -107,7 +123,7 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 11
+    assert len(reference) == 14
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
