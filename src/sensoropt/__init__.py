@@ -13,9 +13,7 @@ exhaustive, and fixed baselines.
 __version__ = "0.1.0"
 
 from .building import (
-    N_PARAMS,
     PARAMETER_NAMES,
-    ShearBuildingModel,
     SystemParameters,
     TimeGrid,
     UnsupportedDampingError,
@@ -35,34 +33,20 @@ from .priors import (
     sample_prior,
 )
 from .fim import (
-    CountingEvaluator,
-    ElementaryFimSet,
     SingularInformationError,
-    check_sensor_vector,
     compute_elementary_set,
     mc_gradient_hessian,
     mc_objective,
     preflight_check,
 )
 from .solver import (
-    BinaryPlacement,
     ConvergenceError,
-    RelaxedSolution,
     SolverOptions,
     certify_or_repair,
     kkt_certificate,
     round_solution,
     solve_relaxed,
 )
-from .baselines import (
-    ComparisonReport,
-    ComparisonRow,
-    ExhaustiveResult,
-    GreedyResult,
-    compare,
-    exhaustive,
-    fixed_configs,
-    greedy_forward,
-)
-from .config import BASELINE_LABELS, ConfigError, RunConfig, load_config, validate_config
-from .pipeline import PipelineError, PlacementReport, run_pipeline, write_report
+from .baselines import compare, exhaustive, fixed_configs, greedy_forward
+from .config import ConfigError, validate_config
+from .pipeline import PipelineError, run_pipeline, write_report

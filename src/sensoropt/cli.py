@@ -7,12 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .baselines import exhaustive
-from .building import TimeGrid, build_uniform_shear_model
 from .config import BASELINE_LABELS, ConfigError, load_config
-from .fim import compute_elementary_set
-from .pipeline import PipelineError, run_pipeline, write_report
-from .priors import sample_prior
+from .pipeline import PipelineError, run_oracle, run_pipeline, write_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,12 +53,18 @@ def _resolve_out(args, config) -> Path:
     return Path("sensoropt-run")
 
 
-def _run_place(args, baselines=None) -> int:
-    config = load_config(args.config)
+def _load(args):
+    """The run configuration, with ``--seed`` and ``--configs`` validated as its keys."""
+    overrides = {}
     if args.seed is not None:
-        config.seed = args.seed
-    if baselines is not None:
-        config.baselines = baselines
+        overrides["seed"] = args.seed
+    if getattr(args, "configs", None) is not None:
+        overrides["baselines"] = [s.strip() for s in args.configs.split(",") if s.strip()]
+    return load_config(args.config, overrides)
+
+
+def _run_place(args) -> int:
+    config = _load(args)
     report = run_pipeline(config)
     out = write_report(report, _resolve_out(args, config))
     if not args.quiet:
@@ -74,26 +76,9 @@ def _run_place(args, baselines=None) -> int:
     return 0
 
 
-def _run_compare(args) -> int:
-    labels = tuple(label.strip() for label in args.configs.split(",") if label.strip())
-    unknown = sorted(set(labels) - set(BASELINE_LABELS))
-    if unknown:
-        raise ConfigError([f"--configs: unknown labels {unknown}"])
-    return _run_place(args, baselines=labels)
-
-
 def _run_oracle(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    try:
-        model = build_uniform_shear_model(config.n_dof)
-        grid = TimeGrid(config.n_steps, config.dt)
-        samples = sample_prior(config.prior, config.n_samples, config.seed)
-        elems = compute_elementary_set(model, samples, grid)
-        result = exhaustive(elems, config.budget, cap=args.exhaustive_cap)
-    except Exception as exc:
-        raise PipelineError("oracle", exc) from exc
+    config = _load(args)
+    result = run_oracle(config, args.exhaustive_cap)
 
     out = _resolve_out(args, config)
     out.mkdir(parents=True, exist_ok=True)
@@ -118,11 +103,9 @@ def _run_oracle(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "place":
-            return _run_place(args)
-        if args.command == "compare":
-            return _run_compare(args)
-        return _run_oracle(args)
+        if args.command == "oracle":
+            return _run_oracle(args)
+        return _run_place(args)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
         return 2

@@ -1,25 +1,30 @@
-"""Run configuration: strict JSON schema with full-file validation."""
+"""Run configuration: a strict JSON schema with full-file validation.
+
+The schema is the four dataclasses the file fills: ``RunConfig`` at the
+top level, ``SolverOptions`` under ``solver``, ``PriorSpec`` under
+``prior`` and one ``Marginal`` per prior entry.  Their field names are
+the only accepted keys, their type hints the accepted types, and fields
+without a default are required.  Integers reject booleans and fractions;
+numbers reject booleans, strings and non-finite values.  A section given
+in the file starts from its field's default, so ``prior`` lists only the
+marginals it overrides (each one complete) and ``solver`` only the
+options it changes.  ``SolverOptions`` and ``Marginal`` check their own
+ranges; ``RunConfig``'s ranges are checked here, on whichever fields
+parsed, so that every violation in a file is reported at once.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import MISSING, dataclass, field
 
 from .priors import PriorSpec, default_prior
 from .solver import SolverOptions
 
 BASELINE_LABELS = ("greedy", "exhaustive", "low", "high", "common")
-
-_TOP_KEYS = {
-    "n_dof", "budget", "n_steps", "dt", "n_samples", "seed",
-    "prior", "solver", "baselines", "output_dir",
-}
-_SOLVER_KEYS = {
-    "tolerance", "max_outer_iterations", "max_newton_iterations",
-    "barrier_t0", "barrier_multiplier", "ambiguity_threshold", "enumeration_cap",
-}
-_PRIOR_ENTRY_KEYS = {"dist", "mean", "std"}
-_PARAM_NAMES = ("omega0", "alpha", "beta", "omega", "a0")
 
 
 class ConfigError(ValueError):
@@ -45,49 +50,103 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Resolved configuration echo; re-validating it reproduces the run."""
-        opts = self.solver
-        return {
-            "n_dof": self.n_dof,
-            "budget": self.budget,
-            "n_steps": self.n_steps,
-            "dt": self.dt,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "prior": self.prior.to_dict(),
-            "solver": {
-                "tolerance": opts.tolerance,
-                "max_outer_iterations": opts.max_outer_iterations,
-                "max_newton_iterations": opts.max_newton_iterations,
-                "barrier_t0": opts.barrier_t0,
-                "barrier_multiplier": opts.barrier_multiplier,
-                "ambiguity_threshold": opts.ambiguity_threshold,
-                "enumeration_cap": opts.enumeration_cap,
+        return dataclasses.asdict(
+            self,
+            dict_factory=lambda items: {
+                key: list(value) if isinstance(value, tuple) else value for key, value in items
             },
-            "baselines": list(self.baselines),
-            "output_dir": self.output_dir,
-        }
+        )
 
 
-def _check_int(raw, key, violations, minimum=None):
-    value = raw.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        violations.append(f"{key}: expected an integer, got {value!r}")
-        return None
-    if minimum is not None and value < minimum:
-        violations.append(f"{key}: must be >= {minimum}, got {value}")
-        return None
-    return value
+# A value that failed its check; the violation is already recorded.
+_BAD = object()
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _check_number(raw, key, violations, positive=False):
-    value = raw.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        violations.append(f"{key}: expected a number, got {value!r}")
-        return None
-    if positive and value <= 0:
-        violations.append(f"{key}: must be positive, got {value}")
-        return None
-    return float(value)
+def _parse(tp, value, path: str, violations: list[str], base=None):
+    """``value`` checked against the type hint ``tp``, or ``_BAD``."""
+    if dataclasses.is_dataclass(tp):
+        values = _parse_fields(tp, value, path, violations, base)
+        if values is _BAD or any(v is _BAD for v in values.values()):
+            return _BAD
+        try:
+            return tp(**values)
+        except ValueError as exc:
+            violations.append(f"{path}: {exc}")
+            return _BAD
+    args = typing.get_args(tp)
+    if type(None) in args:  # ``X | None``
+        if value is None:
+            return None
+        (tp,) = set(args) - {type(None)}
+        return _parse(tp, value, path, violations)
+    if typing.get_origin(tp) is tuple:  # ``tuple[X, ...]``, written as a list
+        if isinstance(value, (list, tuple)):
+            items = [_parse(args[0], v, f"{path}[{i}]", violations) for i, v in enumerate(value)]
+            return _BAD if any(v is _BAD for v in items) else tuple(items)
+        expected = "a list"
+    else:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if tp is int:
+            ok = number and isinstance(value, int)
+        elif tp is float:
+            ok = number and math.isfinite(value)
+        else:
+            ok = isinstance(value, tp)
+        if ok:
+            return tp(value)
+        expected = _EXPECTED[tp]
+    violations.append(f"{path}: expected {expected}, got {value!r}")
+    return _BAD
+
+
+def _parse_fields(cls, raw, path: str, violations: list[str], base=None):
+    """Field values of dataclass ``cls`` read from the mapping ``raw``, or ``_BAD``.
+
+    A field that ``raw`` omits keeps its value in ``base`` when one is
+    given, else its own default; without either it is missing.
+    """
+    where = f"{path}: " if path else ""
+    if not isinstance(raw, dict):
+        violations.append(f"{where}expected a mapping, got {type(raw).__name__}")
+        return _BAD
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
+    if unknown:
+        violations.append(f"{where}unknown keys {unknown}")
+    values, missing = {}, []
+    for f in fields:
+        if f.name in raw:
+            nested = f.default_factory() if f.default_factory is not MISSING else None
+            key = f"{path}.{f.name}" if path else f.name
+            values[f.name] = _parse(hints[f.name], raw[f.name], key, violations, nested)
+        elif base is not None:
+            values[f.name] = getattr(base, f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            values[f.name] = _BAD
+            missing.append(f.name)
+    if missing:
+        violations.append(f"{where}missing keys {missing}")
+    return values
+
+
+def _run_violations(values: dict) -> list[str]:
+    """``RunConfig``'s range rules, applied to the fields that parsed."""
+    v = {key: value for key, value in values.items() if value is not _BAD}
+    found = [
+        f"{key}: must be >= {low}, got {v[key]}"
+        for key, low in (("n_dof", 1), ("budget", 1), ("n_steps", 1), ("n_samples", 1), ("seed", 0))
+        if key in v and v[key] < low
+    ]
+    if "dt" in v and v["dt"] <= 0:
+        found.append(f"dt: must be positive, got {v['dt']}")
+    if "budget" in v and "n_dof" in v and v["budget"] > v["n_dof"]:
+        found.append(f"budget: infeasible, {v['budget']} sensors for {v['n_dof']} stories")
+    bad = sorted(set(v.get("baselines", ())) - set(BASELINE_LABELS))
+    if bad:
+        found.append(f"baselines: unknown labels {bad}; allowed: {list(BASELINE_LABELS)}")
+    return found
 
 
 def validate_config(raw: dict) -> RunConfig:
@@ -96,113 +155,23 @@ def validate_config(raw: dict) -> RunConfig:
     Unknown keys anywhere in the document are rejected so typos cannot
     silently fall back to defaults.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError([f"configuration must be a mapping, got {type(raw).__name__}"])
     violations: list[str] = []
-
-    unknown = sorted(set(raw) - _TOP_KEYS)
-    if unknown:
-        violations.append(f"unknown keys: {unknown}")
-    for key in ("n_dof", "budget", "n_steps", "dt", "n_samples", "seed"):
-        if key not in raw:
-            violations.append(f"missing required key: {key}")
-
-    n_dof = _check_int(raw, "n_dof", violations, minimum=1) if "n_dof" in raw else None
-    budget = _check_int(raw, "budget", violations, minimum=1) if "budget" in raw else None
-    n_steps = _check_int(raw, "n_steps", violations, minimum=1) if "n_steps" in raw else None
-    n_samples = (
-        _check_int(raw, "n_samples", violations, minimum=1) if "n_samples" in raw else None
-    )
-    seed = _check_int(raw, "seed", violations) if "seed" in raw else None
-    dt = _check_number(raw, "dt", violations, positive=True) if "dt" in raw else None
-
-    if n_dof is not None and budget is not None and budget > n_dof:
-        violations.append(f"budget: infeasible, {budget} sensors for {n_dof} stories")
-
-    prior = default_prior()
-    if "prior" in raw:
-        if not isinstance(raw["prior"], dict):
-            violations.append("prior: expected a mapping of parameter name to marginal")
-        else:
-            unknown = sorted(set(raw["prior"]) - set(_PARAM_NAMES))
-            if unknown:
-                violations.append(f"prior: unknown parameters {unknown}")
-            bad_entry = False
-            for name, entry in raw["prior"].items():
-                if name not in _PARAM_NAMES:
-                    continue
-                if not isinstance(entry, dict):
-                    violations.append(f"prior.{name}: expected a mapping")
-                    bad_entry = True
-                    continue
-                extra = sorted(set(entry) - _PRIOR_ENTRY_KEYS)
-                missing = sorted(_PRIOR_ENTRY_KEYS - set(entry))
-                if extra:
-                    violations.append(f"prior.{name}: unknown keys {extra}")
-                    bad_entry = True
-                if missing:
-                    violations.append(f"prior.{name}: missing keys {missing}")
-                    bad_entry = True
-            if not bad_entry and not unknown:
-                try:
-                    prior = PriorSpec.from_dict(raw["prior"])
-                except (ValueError, TypeError) as exc:
-                    violations.append(f"prior: {exc}")
-
-    solver = SolverOptions()
-    if "solver" in raw:
-        if not isinstance(raw["solver"], dict):
-            violations.append("solver: expected a mapping")
-        else:
-            unknown = sorted(set(raw["solver"]) - _SOLVER_KEYS)
-            if unknown:
-                violations.append(f"solver: unknown keys {unknown}")
-            else:
-                try:
-                    solver = SolverOptions(**raw["solver"])
-                except (ValueError, TypeError) as exc:
-                    violations.append(f"solver: {exc}")
-
-    baselines: tuple[str, ...] = ("greedy", "low", "high", "common")
-    if "baselines" in raw:
-        entries = raw["baselines"]
-        if not isinstance(entries, (list, tuple)) or not all(
-            isinstance(b, str) for b in entries
-        ):
-            violations.append("baselines: expected a list of labels")
-        else:
-            bad = sorted(set(entries) - set(BASELINE_LABELS))
-            if bad:
-                violations.append(
-                    f"baselines: unknown labels {bad}; allowed: {list(BASELINE_LABELS)}"
-                )
-            else:
-                baselines = tuple(entries)
-
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        violations.append(f"output_dir: expected a string, got {output_dir!r}")
-
+    values = _parse_fields(RunConfig, raw, "", violations)
+    if values is not _BAD:
+        violations += _run_violations(values)
     if violations:
         raise ConfigError(violations)
-    return RunConfig(
-        n_dof=n_dof,
-        budget=budget,
-        n_steps=n_steps,
-        dt=dt,
-        n_samples=n_samples,
-        seed=seed,
-        prior=prior,
-        solver=solver,
-        baselines=baselines,
-        output_dir=output_dir,
-    )
+    return RunConfig(**values)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """Read and validate a JSON configuration, with ``overrides`` merged over
+    its top-level keys first so that they meet the same schema."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    if overrides and isinstance(raw, dict):
+        raw.update(overrides)
     return validate_config(raw)

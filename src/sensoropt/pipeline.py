@@ -2,11 +2,12 @@
 
 Stages run in a fixed order: model construction, prior sampling,
 elementary-matrix precomputation, preflight, relaxed solve,
-certification/repair, baselines, report assembly.  Every failure carries
-the stage it occurred in, and no report files are written for a failed
-run.  All randomness derives from the configuration seed, so a report is
-byte-identical across reruns; wall-clock timings go to a separate sidecar
-file for that reason.
+certification/repair, baselines, report assembly.  The exhaustive oracle
+shares the first three stages and then runs its own ``exhaustive`` stage.
+Every failure carries the stage it occurred in, and no report files are
+written for a failed run.  All randomness derives from the configuration
+seed, so a report is byte-identical across reruns; wall-clock timings go
+to a separate sidecar file for that reason.
 """
 
 from __future__ import annotations
@@ -19,10 +20,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .baselines import ComparisonReport, compare, exhaustive, fixed_configs, greedy_forward
+from .baselines import (
+    ComparisonReport,
+    ExhaustiveResult,
+    compare,
+    exhaustive,
+    fixed_configs,
+    greedy_forward,
+)
 from .building import TimeGrid, build_uniform_shear_model
 from .config import RunConfig
-from .fim import compute_elementary_set, preflight_check
+from .fim import ElementaryFimSet, compute_elementary_set, preflight_check
 from .priors import sample_prior
 from .solver import BinaryPlacement, RelaxedSolution, certify_or_repair, solve_relaxed
 
@@ -99,17 +107,34 @@ def _stage(name: str, timings: dict):
     timings[name] = time.perf_counter() - start
 
 
-def run_pipeline(config: RunConfig) -> PlacementReport:
-    """Run the full placement pipeline for one configuration."""
-    timings: dict[str, float] = {}
-
+def _elementary_stages(config: RunConfig, timings: dict) -> ElementaryFimSet:
+    """The model, prior-sampling and elementary-matrices stages."""
     with _stage("model", timings):
         model = build_uniform_shear_model(config.n_dof)
         grid = TimeGrid(config.n_steps, config.dt)
     with _stage("prior-sampling", timings):
         samples = sample_prior(config.prior, config.n_samples, config.seed)
     with _stage("elementary-matrices", timings):
-        elems = compute_elementary_set(model, samples, grid)
+        return compute_elementary_set(model, samples, grid)
+
+
+def run_oracle(config: RunConfig, cap: int) -> ExhaustiveResult:
+    """Exhaustive combinatorial optimum, refusing more than ``cap`` configurations.
+
+    Shares the first three stages with ``run_pipeline`` and runs the
+    enumeration as its own ``exhaustive`` stage.
+    """
+    timings: dict[str, float] = {}
+    elems = _elementary_stages(config, timings)
+    with _stage("exhaustive", timings):
+        return exhaustive(elems, config.budget, cap=cap)
+
+
+def run_pipeline(config: RunConfig) -> PlacementReport:
+    """Run the full placement pipeline for one configuration."""
+    timings: dict[str, float] = {}
+
+    elems = _elementary_stages(config, timings)
     with _stage("preflight", timings):
         preflight_check(elems)
     with _stage("solve", timings):

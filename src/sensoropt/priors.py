@@ -73,30 +73,6 @@ class PriorSpec:
         """Marginals in canonical parameter order."""
         return tuple(getattr(self, name) for name in PARAMETER_NAMES)
 
-    def to_dict(self) -> dict:
-        return {
-            name: {"dist": m.dist, "mean": m.mean, "std": m.std}
-            for name, m in zip(PARAMETER_NAMES, self.marginals())
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PriorSpec":
-        unknown = set(raw) - set(PARAMETER_NAMES)
-        if unknown:
-            raise ValueError(f"unknown prior parameters: {sorted(unknown)}")
-        base = default_prior()
-        fields = {}
-        for name in PARAMETER_NAMES:
-            if name in raw:
-                entry = dict(raw[name])
-                extra = set(entry) - {"dist", "mean", "std"}
-                if extra:
-                    raise ValueError(f"unknown keys in prior for {name}: {sorted(extra)}")
-                fields[name] = Marginal(entry["dist"], float(entry["mean"]), float(entry["std"]))
-            else:
-                fields[name] = getattr(base, name)
-        return cls(**fields)
-
 
 def default_prior() -> PriorSpec:
     """Reference prior for typical low-rise to mid-rise buildings.

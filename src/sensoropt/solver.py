@@ -69,6 +69,9 @@ class SolverOptions:
             )
         if self.barrier_t0 <= 0 or self.barrier_multiplier <= 1:
             raise ValueError("barrier parameters must satisfy t0 > 0, multiplier > 1")
+        for name in ("max_outer_iterations", "max_newton_iterations", "enumeration_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

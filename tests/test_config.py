@@ -95,6 +95,30 @@ def test_types_checked():
         validate_config(dict(GOOD, dt="0.01"))
 
 
+NORMAL_A0 = {"dist": "normal", "mean": 0.0}
+
+
+@pytest.mark.parametrize(
+    "override, named",
+    [
+        ({"dt": float("nan")}, "dt"),
+        ({"prior": {"a0": dict(NORMAL_A0, std=float("nan"))}}, "prior.a0.std"),
+        ({"prior": {"a0": dict(NORMAL_A0, std="1")}}, "prior.a0.std"),
+        ({"seed": -1}, "seed"),
+        ({"solver": {"max_outer_iterations": 2.5}}, "solver.max_outer_iterations"),
+        ({"solver": {"enumeration_cap": "big"}}, "solver.enumeration_cap"),
+        ({"solver": {"tolerance": True}}, "solver.tolerance"),
+        ({"solver": {"max_outer_iterations": 0}}, "solver: max_outer_iterations"),
+        ({"solver": {"max_newton_iterations": 0}}, "solver: max_newton_iterations"),
+        ({"solver": {"enumeration_cap": 0}}, "solver: enumeration_cap"),
+    ],
+)
+def test_schema_rejects_value_and_names_field(override, named):
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(dict(GOOD, **override))
+    assert any(v.startswith(named) for v in excinfo.value.violations), excinfo.value.violations
+
+
 def test_canonical_fifty_story_file_parses():
     config = load_config("configs/fifty_story.json")
     assert config.n_dof == 50 and config.budget == 20

@@ -164,6 +164,13 @@ class TestCli:
         assert proc.returncode == 2
         assert "dt" in proc.stderr and "infeasible" in proc.stderr
 
+    def test_seed_override_meets_the_schema(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(SMALL))
+        proc = _run_cli(["place", "--config", str(config_path), "--seed", "-1"])
+        assert proc.returncode == 2
+        assert "seed: must be >= 0" in proc.stderr
+
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(SMALL))

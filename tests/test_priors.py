@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from sensoropt import PARAMETER_NAMES, Marginal, PriorSpec, default_prior, lognormal_underlying, sample_prior
+from sensoropt import (
+    PARAMETER_NAMES,
+    Marginal,
+    default_prior,
+    lognormal_underlying,
+    sample_prior,
+    validate_config,
+)
+
+CONFIG = {"n_dof": 4, "budget": 2, "n_steps": 100, "dt": 0.01, "n_samples": 50, "seed": 1}
 
 
 class TestDefaultPrior:
@@ -21,12 +30,14 @@ class TestDefaultPrior:
         assert prior.beta.mean == 1e-4 and prior.beta.std == 1e-5
 
     def test_roundtrip_through_dict(self):
+        # the prior's dict form is the ``prior`` section of a config echo
         prior = default_prior()
-        assert PriorSpec.from_dict(prior.to_dict()) == prior
+        echo = validate_config(dict(CONFIG)).to_dict()["prior"]
+        assert validate_config(dict(CONFIG, prior=echo)).prior == prior
 
     def test_from_dict_rejects_unknown_parameter(self):
-        with pytest.raises(ValueError, match="unknown prior parameters"):
-            PriorSpec.from_dict({"zeta": {"dist": "normal", "mean": 0, "std": 1}})
+        with pytest.raises(ValueError, match=r"prior: unknown keys \['zeta'\]"):
+            validate_config(dict(CONFIG, prior={"zeta": {"dist": "normal", "mean": 0, "std": 1}}))
 
 
 class TestMarginal:

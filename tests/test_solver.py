@@ -100,6 +100,13 @@ class TestSolveRelaxed:
             solve_relaxed(four_dof_fimset, 2, opts)
         assert isinstance(excinfo.value.trace, list)
 
+    @pytest.mark.parametrize(
+        "name", ["max_outer_iterations", "max_newton_iterations", "enumeration_cap"]
+    )
+    def test_options_reject_counts_below_one(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            SolverOptions(**{name: 0})
+
     def test_custom_start_must_be_feasible(self, four_dof_fimset):
         with pytest.raises(ValueError):
             solve_relaxed(four_dof_fimset, 2, z0=np.array([1.0, 1.0, 0.0, 0.0]))
