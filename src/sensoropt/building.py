@@ -23,19 +23,25 @@ form (``build_uniform_shear_model``); a general pattern pair is reduced
 to a standard symmetric eigenproblem with numpy's LAPACK bindings
 (``build_model``).
 
-On a ``TimeGrid`` the damped time bases are built from two short tables
-per mode (``_damped_bases``); an arbitrary time array is evaluated
-directly, and ``tests/test_building.py`` holds the two paths together.
-The sensitivities rest on two BLAS-backed contractions, each in an
-orientation whose result is bitwise identical at 1, 2 and 8 BLAS threads:
+The sensitivities come in two passes.  ``sensitivity_coefficients``
+takes a block of parameter rows, shape (B, 5), and forms the modal
+constants (``modal_constants``) and each mode's derivative coefficients
+over eight time bases for the whole block at once; a single
+``SystemParameters`` is a block of one, so every caller shares that
+arithmetic.  ``response_sensitivities`` then turns one sample's
+coefficients into time series: it builds the time bases, on a
+``TimeGrid`` from two short tables per mode (``_damped_bases``; an
+arbitrary time array is evaluated directly, and ``tests/test_building.py``
+holds the two paths together), and applies two BLAS-backed contractions:
 a batched matmul over modes that forms the modal derivatives from their
-coefficients over the time bases (``K = 8``, ``_modal_sensitivities``),
-and a gemm that maps them to stories (``M = K = n_dof``,
-``response_sensitivities``).  ``tests/test_thread_invariance.py`` checks
-both at benchmark sizes and holds each to the non-BLAS ``einsum`` its
-docstring names as the fallback.  Every stage writes into
-``SensitivityBuffers``, which the elementary-matrix stage allocates once
-for all samples.
+coefficients (``K = 8``, ``_modal_sensitivities``), and a gemm that maps
+them to stories (``M = K = n_dof``).  Each is in an orientation whose
+result was bitwise identical at 1, 2 and 8 BLAS threads on records of
+1000 steps; ``tests/test_thread_invariance.py`` checks both at benchmark
+sizes and holds each to the non-BLAS ``einsum`` its docstring names as
+the fallback.  The second pass writes into ``SensitivityBuffers``, which
+the elementary-matrix stage (``fim.compute_elementary_set``, in blocks of
+``fim.ROWS`` mode-rows) allocates once for all samples.
 """
 
 from __future__ import annotations
@@ -70,14 +76,17 @@ class SystemParameters:
     a0: float
 
     def __post_init__(self):
-        if self.omega0 <= 0:
+        # Written so that NaN fails every check.
+        if not self.omega0 > 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if self.omega <= 0:
+        if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not math.isfinite(self.a0):
+            raise ValueError(f"a0 must be finite, got {self.a0}")
 
     @classmethod
     def from_array(cls, values) -> "SystemParameters":
@@ -249,51 +258,75 @@ def _as_times(times) -> np.ndarray:
     return times
 
 
-def modal_constants(model: ShearBuildingModel, theta: SystemParameters):
+def modal_constants(model: ShearBuildingModel, theta):
     """Per-mode frequency, damping ratio, damped frequency and forcing amplitude.
+
+    ``theta`` is one ``SystemParameters`` or a block of parameter rows,
+    shape (B, 5) in ``PARAMETER_NAMES`` order (``SampleSet.values[a:b]``).
+    A block is computed in one pass; one ``SystemParameters`` is the
+    block of its one row.  The rows are not range-checked here:
+    ``SystemParameters`` checks them.
 
     Returns
     -------
-    (omega_j, zeta_j, omega_dj, a_j) : tuple of ndarray, each shape (n_dof,)
+    (omega_j, zeta_j, omega_dj, a_j) : tuple of ndarray
+        Each of shape (n_dof,) for one ``SystemParameters``, (B, n_dof)
+        for a block.
 
     Raises
     ------
     UnsupportedDampingError
-        If any mode has damping ratio >= 1.
+        If any mode has damping ratio >= 1.  In a block, the first sample
+        with such a mode is reported as it would be on its own.
     """
+    if isinstance(theta, SystemParameters):
+        return tuple(c[0] for c in modal_constants(model, theta.as_array()[None]))
+    rows = np.asarray(theta, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != N_PARAMS:
+        raise ValueError(f"expected parameter rows of shape (B, {N_PARAMS}), got {rows.shape}")
+    omega0, alpha, beta, _, a0 = rows.T[:, :, None]  # (B, 1) columns
     cj = np.sqrt(model.eigenvalues)
-    wj = cj * theta.omega0
-    zj = (theta.alpha + theta.beta * wj**2) / (2.0 * wj)
-    if np.any(zj >= 1.0):
-        worst = int(np.argmax(zj))
+    wj = cj * omega0
+    zj = (alpha + beta * wj**2) / (2.0 * wj)
+    over = zj >= 1.0
+    if np.any(over):
+        zb = zj[np.argmax(np.any(over, axis=1))]
+        worst = int(np.argmax(zb))
         raise UnsupportedDampingError(
-            f"mode {worst + 1} has damping ratio {zj[worst]:.6g} >= 1; "
+            f"mode {worst + 1} has damping ratio {zb[worst]:.6g} >= 1; "
             "the closed-form response requires underdamped modes"
         )
     wd = wj * np.sqrt(1.0 - zj**2)
     participation = model.eigenvectors.sum(axis=0)  # Phi^T 1
-    aj = -(theta.a0 / model.modal_masses) * participation
+    aj = -(a0 / model.modal_masses) * participation
     return wj, zj, wd, aj
 
 
 class _ClosedForm(NamedTuple):
-    """Per-mode constants and time bases of the closed-form modal response.
+    """Per-mode constants of the closed-form modal response of B samples.
 
-    Mode ``j`` responds as ``q_j(t) = a_j / denom_j * sum_b bracket[b, j] *
-    bases[j, b, t]`` over ``b < 4``: the bracket coefficients are
-    ``(trans_sin, cross, detune, -cross)`` and the bases are
-    ``e sin(wd_j t)``, ``e cos(wd_j t)``, ``sin(w t)`` and ``cos(w t)`` with
-    envelope ``e = exp(-zeta_j w_j t)``.  Bases 4 to 7 are ``t`` times
-    bases 0 to 3; the derivatives of the response need them.
+    Mode ``j`` of sample ``s`` responds as ``q_j(t) = a_j / denom_j *
+    sum_b bracket[b, s, j] * bases[j, b, t]`` over ``b < 4``: the bracket
+    coefficients are ``(trans_sin, cross, detune, -cross)`` and the bases,
+    from ``_time_bases``, are ``e sin(wd_j t)``, ``e cos(wd_j t)``,
+    ``sin(w t)`` and ``cos(w t)`` with envelope ``e = exp(-zeta_j w_j t)``.
+    Bases 4 to 7 are ``t`` times bases 0 to 3; the derivatives of the
+    response need them.
     """
 
-    wj: np.ndarray  # (n_dof,) each, as from modal_constants
+    wj: np.ndarray  # (B, n_dof) each, as from modal_constants
     zj: np.ndarray
     wd: np.ndarray
     aj: np.ndarray
-    denom: np.ndarray  # (n_dof,)
-    bracket: np.ndarray  # (4, n_dof)
-    bases: np.ndarray  # (n_dof, 8, n_times)
+    w: np.ndarray  # (B, 1), the forcing frequency
+    w2: np.ndarray  # (B, 1), its square
+    denom: np.ndarray  # (B, n_dof)
+    bracket: np.ndarray  # (4, B, n_dof)
+
+    @property
+    def rate(self) -> np.ndarray:
+        """Complex ``-zeta_j w_j + i wd_j``, shape (B, n_dof): see ``_damped_bases``."""
+        return -self.zj * self.wj + 1j * self.wd
 
 
 class SensitivityBuffers(NamedTuple):
@@ -306,9 +339,20 @@ class SensitivityBuffers(NamedTuple):
     """
 
     damped: np.ndarray  # complex (n_dof, table length), see _damped_bases
-    bases: np.ndarray  # (n_dof, 8, n_times), as in _ClosedForm
+    bases: np.ndarray  # (n_dof, 8, n_times), from _time_bases
     modal: np.ndarray  # (n_dof, 5, n_times), as from _modal_sensitivities
     story: np.ndarray  # (n_dof, 5, n_times), story-major sensitivities
+
+
+class SensitivityCoefficients(NamedTuple):
+    """The per-sample inputs of ``response_sensitivities`` for B samples.
+
+    ``zip(*coefficients)`` yields each sample's ``(rate, coef)`` pair, the
+    form that ``response_sensitivities`` takes as ``coefficients``.
+    """
+
+    rate: np.ndarray  # complex (B, n_dof), as _ClosedForm.rate
+    coef: np.ndarray  # (B, n_dof, 5, 8): coef[s, j, p] @ bases[j] is dq_j/d theta_p
 
 
 def _grid_split(n_steps: int) -> tuple[int, int]:
@@ -357,30 +401,39 @@ def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
     return out[:, 1 : n_steps + 1]
 
 
-def _closed_form(
-    model: ShearBuildingModel, theta: SystemParameters, times,
-    buffers: SensitivityBuffers | None = None,
-) -> _ClosedForm:
+def _time_bases(rate: np.ndarray, w: float, times, buffers: SensitivityBuffers) -> np.ndarray:
+    """The eight time bases of ``_ClosedForm`` for one sample, shape (n_dof, 8, n_times).
+
+    ``rate`` is the sample's row of ``_ClosedForm.rate`` and ``w`` its
+    forcing frequency.  The bases are written into ``buffers.bases``.
+    """
     t = _as_times(times)
-    if buffers is None:
-        buffers = sensitivity_buffers(model.n_dof, times)
-    wj, zj, wd, aj = modal_constants(model, theta)
-    w = theta.omega
-
-    trans_sin = (w**3 + wj**2 * w * (2.0 * zj**2 - 1.0)) / wd
-    cross = 2.0 * zj * wj * w
-    detune = wj**2 - w**2
-    denom = detune**2 + cross**2
-
-    damped = _damped_bases(-zj * wj + 1j * wd, times, buffers.damped)
+    damped = _damped_bases(rate, times, buffers.damped)
     bases = buffers.bases
     bases[:, 0] = damped.imag
     bases[:, 1] = damped.real
     bases[:, 2] = np.sin(w * t)
     bases[:, 3] = np.cos(w * t)
     np.multiply(bases[:, :4], t, out=bases[:, 4:])
+    return bases
+
+
+def _closed_form(model: ShearBuildingModel, rows: np.ndarray) -> _ClosedForm:
+    """``_ClosedForm`` of the parameter rows ``rows``, shape (B, 5), in one pass."""
+    wj, zj, wd, aj = modal_constants(model, rows)
+    w = rows[:, 3:4]
+    # The forcing frequency's powers by Python's scalar pow.  numpy's array
+    # power runs a SIMD kernel on CPUs with AVX-512 that rounds about 5 % of
+    # cubes differently, and the upper stories' near-cancelling
+    # sensitivities carry such last-bit changes into the reports.
+    w2, w3 = (np.array([[x**p] for x in w[:, 0].tolist()]) for p in (2, 3))
+
+    trans_sin = (w3 + wj**2 * w * (2.0 * zj**2 - 1.0)) / wd
+    cross = 2.0 * zj * wj * w
+    detune = wj**2 - w2
+    denom = detune**2 + cross**2
     bracket = np.stack([trans_sin, cross, detune, -cross])
-    return _ClosedForm(wj, zj, wd, aj, denom, bracket, bases)
+    return _ClosedForm(wj, zj, wd, aj, w, w2, denom, bracket)
 
 
 def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) -> np.ndarray:
@@ -398,8 +451,9 @@ def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) ->
     ndarray, shape (n_times, n_dof)
         Modal coordinate histories, one column per mode.
     """
-    cf = _closed_form(model, theta, times)
-    return np.einsum("bj,jbn->nj", cf.bracket * (cf.aj / cf.denom), cf.bases[:, :4])
+    cf = _closed_form(model, theta.as_array()[None])
+    bases = _time_bases(cf.rate[0], theta.omega, times, sensitivity_buffers(model.n_dof, times))
+    return np.einsum("bj,jbn->nj", cf.bracket[:, 0] * (cf.aj[0] / cf.denom[0]), bases[:, :4])
 
 
 def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
@@ -412,11 +466,11 @@ def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
     return np.einsum("nj,ij->ni", q, model.eigenvectors)
 
 
-def _sensitivity_coefficients(
-    model: ShearBuildingModel, theta: SystemParameters, times,
-    buffers: SensitivityBuffers | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modal derivatives as coefficients over the time bases of ``_ClosedForm``.
+def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoefficients:
+    """Modal derivatives of B samples as coefficients over the time bases of ``_ClosedForm``.
+
+    ``rows`` are parameter rows, shape (B, 5), as in ``modal_constants``;
+    every array below is computed for the whole block at once.
 
     Differentiating a basis of ``_ClosedForm`` gives ``t`` times a basis of
     the same mode: ``d/dx`` of the damped pair ``(e sin, e cos)`` is ``t``
@@ -429,12 +483,15 @@ def _sensitivity_coefficients(
 
     Returns
     -------
-    (coef, bases) : ndarray, shapes (n_dof, 5, 8) and (n_dof, 8, n_times)
-        ``coef[j, p] @ bases[j]`` is the derivative of mode ``j`` with
-        respect to parameter ``PARAMETER_NAMES[p]``.
+    SensitivityCoefficients
+        ``coef[s, j, p] @ bases[j]`` is the derivative of mode ``j`` of
+        sample ``s`` with respect to parameter ``PARAMETER_NAMES[p]``, with
+        ``bases = _time_bases(rate[s], rows[s, 3], times, buffers)``.
     """
-    cf = _closed_form(model, theta, times, buffers)
-    wj, zj, wd, denom, w = cf.wj, cf.zj, cf.wd, cf.denom, theta.omega
+    rows = np.asarray(rows, dtype=float)
+    cf = _closed_form(model, rows)
+    wj, zj, wd, denom, w = cf.wj, cf.zj, cf.wd, cf.denom, cf.w
+    _, alpha, beta, _, _ = rows.T[:, :, None]  # (B, 1) columns
     trans_sin, cross, detune, _ = cf.bracket
     zero = np.zeros_like(wj)
     sq = np.sqrt(1.0 - zj**2)
@@ -447,10 +504,10 @@ def _sensitivity_coefficients(
     d_trans = np.stack([
         (2.0 * wj * w * tilt - trans_sin * d_wd[0]) / wd,
         (4.0 * wj**2 * w * zj - trans_sin * d_wd[1]) / wd,
-        (3.0 * w**2 + wj**2 * tilt) / wd,
+        (3.0 * cf.w2 + wj**2 * tilt) / wd,
     ])
     d_cross = np.stack([2.0 * zj * w, 2.0 * wj * w, 2.0 * zj * wj])
-    d_detune = np.stack([2.0 * wj, zero, np.full_like(wj, -2.0 * w)])
+    d_detune = np.stack([2.0 * wj, zero, np.broadcast_to(-2.0 * w, wj.shape)])
     d_denom = 2.0 * detune * d_detune + 2.0 * cross * d_cross
 
     # dq_j/dx = a_j/denom_j * [(d bracket - bracket d denom/denom) . B
@@ -467,7 +524,7 @@ def _sensitivity_coefficients(
     )
 
     cj = np.sqrt(model.eigenvalues)
-    dz_dwj = theta.beta / 2.0 - theta.alpha / (2.0 * wj**2)
+    dz_dwj = beta / 2.0 - alpha / (2.0 * wj**2)
     # a_j is linear in a0, so this derivative stays defined at a0 = 0.
     daj_da0 = -model.eigenvectors.sum(axis=0) / model.modal_masses
     coef = np.stack([
@@ -476,31 +533,39 @@ def _sensitivity_coefficients(
         d_zeta * (wj / 2.0),
         d_w,
         np.concatenate([cf.bracket, np.zeros_like(cf.bracket)]) * (daj_da0 / denom),
-    ])
-    return np.ascontiguousarray(coef.transpose(2, 0, 1)), cf.bases
+    ])  # (parameter, basis, sample, mode)
+    return SensitivityCoefficients(cf.rate, np.ascontiguousarray(coef.transpose(2, 3, 0, 1)))
 
 
 def _modal_sensitivities(
     model: ShearBuildingModel, theta: SystemParameters, times,
-    buffers: SensitivityBuffers | None = None,
+    buffers: SensitivityBuffers | None = None, coefficients=None,
 ) -> np.ndarray:
     """Derivatives of the modal response, laid out (mode, parameter, time).
 
     One batched matmul over modes, ``(n_dof, 5, 8) @ (n_dof, 8, n_times)``,
-    forms the time series from ``_sensitivity_coefficients``.  Each output
-    entry is a sum of ``K = 8`` products within one mode, so a BLAS thread
-    split can only divide the outputs between threads, never the sum behind
-    one of them; ``tests/test_thread_invariance.py`` checks it at 4, 50 and
-    80 stories.  Should that test fail on another CPU, the non-BLAS
+    forms the time series from the sample's ``(rate, coef)`` pair of
+    ``sensitivity_coefficients`` (``coefficients``, computed here from
+    ``theta`` when left out).  Each output entry is a sum of ``K = 8``
+    products within one mode, so a BLAS thread split can only divide the
+    outputs between threads, never the sum behind one of them;
+    ``tests/test_thread_invariance.py`` checks it at 4, 50 and 80 stories.
+    Should that test fail on another CPU, the non-BLAS
     ``np.einsum("jpb,jbn->jpn", coef, bases)`` is the drop-in replacement.
     """
-    coef, bases = _sensitivity_coefficients(model, theta, times, buffers)
-    return np.matmul(coef, bases, out=None if buffers is None else buffers.modal)
+    if coefficients is None:
+        block = sensitivity_coefficients(model, theta.as_array()[None])
+        coefficients = block.rate[0], block.coef[0]
+    if buffers is None:
+        buffers = sensitivity_buffers(model.n_dof, times)
+    rate, coef = coefficients
+    bases = _time_bases(rate, theta.omega, times, buffers)
+    return np.matmul(coef, bases, out=buffers.modal)
 
 
 def response_sensitivities(
     model: ShearBuildingModel, theta: SystemParameters, times,
-    *, buffers: SensitivityBuffers | None = None,
+    *, buffers: SensitivityBuffers | None = None, coefficients=None,
 ) -> np.ndarray:
     """Derivatives of story displacements with respect to system parameters.
 
@@ -508,16 +573,21 @@ def response_sensitivities(
     by a gemm of the mode shapes ``(n_dof x n_dof)`` with the derivatives
     ``(n_dof x 5 n_times)``, so ``M = K = n_dof``.  In this orientation the
     result is bitwise identical at 1, 2 and 8 threads of OpenBLAS 0.3.31
-    (Haswell kernels), whereas folding the map into the bases, one gemm
-    ``(time x 8 n_dof) @ (8 n_dof x 5 stories)``, is not at 50 stories.
-    ``tests/test_thread_invariance.py`` checks the map at 4, 50 and 80
-    stories.  Should that test fail on another CPU, the non-BLAS
-    ``np.einsum("ij,jpn->ipn", model.eigenvectors, dq)`` is the drop-in
-    replacement for the ``np.dot``.
+    (Haswell kernels) on records of 1000 steps, whereas folding the map
+    into the bases, one gemm ``(time x 8 n_dof) @ (8 n_dof x 5 stories)``,
+    is not at 50 stories.  ``tests/test_thread_invariance.py`` checks the
+    map at 4, 50 and 80 stories.  Should that test fail on another CPU,
+    the non-BLAS ``np.einsum("ij,jpn->ipn", model.eigenvectors, dq)`` is
+    the drop-in replacement for the ``np.dot``.
 
     ``buffers`` (keyword only) are the ``SensitivityBuffers`` to write
     into; the result is then a view of ``buffers.story``, valid until the
     next call with the same buffers.  Left out, fresh ones are allocated.
+    ``coefficients`` (keyword only) is this sample's ``(rate, coef)`` pair
+    from a ``sensitivity_coefficients`` block that holds ``theta``'s row;
+    left out, it is computed from ``theta`` as a block of one.  Either way
+    the coefficients come from the same arithmetic, so the result is the
+    same to the bit.
 
     Returns
     -------
@@ -528,7 +598,7 @@ def response_sensitivities(
     """
     if buffers is None:
         buffers = sensitivity_buffers(model.n_dof, times)
-    dq = _modal_sensitivities(model, theta, times, buffers)
+    dq = _modal_sensitivities(model, theta, times, buffers, coefficients)
     n_dof = model.n_dof
     np.dot(model.eigenvectors, dq.reshape(n_dof, -1), out=buffers.story.reshape(n_dof, -1))
     return buffers.story.transpose(2, 0, 1)

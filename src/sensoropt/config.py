@@ -143,9 +143,13 @@ def _run_violations(values: dict) -> list[str]:
         found.append(f"dt: must be positive, got {v['dt']}")
     if "budget" in v and "n_dof" in v and v["budget"] > v["n_dof"]:
         found.append(f"budget: infeasible, {v['budget']} sensors for {v['n_dof']} stories")
-    bad = sorted(set(v.get("baselines", ())) - set(BASELINE_LABELS))
+    baselines = v.get("baselines", ())
+    bad = sorted(set(baselines) - set(BASELINE_LABELS))
     if bad:
         found.append(f"baselines: unknown labels {bad}; allowed: {list(BASELINE_LABELS)}")
+    repeated = sorted({label for label in baselines if baselines.count(label) > 1})
+    if repeated:
+        found.append(f"baselines: repeated labels {repeated}")
     return found
 
 

@@ -8,14 +8,21 @@ minimize is the negated expected log-determinant over the prior,
 estimated by a sample mean with fixed summation order.
 
 Reductions across samples run in fixed sample order.  The BLAS-backed
-contractions are each in an orientation whose result is bitwise identical
-at 1, 2 and 8 BLAS threads: every output entry is one short sum within one
-sample (or one mode), so a BLAS thread split can only divide the outputs
-between threads, never the sum behind one of them.
+contractions are each in an orientation whose result was bitwise
+identical at 1, 2 and 8 BLAS threads at the sizes the tests check: every
+output entry is one short sum within one sample (or one mode), so a BLAS
+thread split can only divide the outputs between threads, never the sum
+behind one of them.  The mode-to-story gemm is the exception on short
+records: at 50 and 80 stories it is not thread-invariant at 100 and 300
+steps (README, "Determinism").
 
-- The elementary matrices rest on ``building.response_sensitivities``:
-  a batched matmul over modes (``K = 8``) and the mode-to-story gemm
-  (``M = K = n_dof``).
+- The elementary matrices take two passes per block of
+  ``max(1, ROWS // n_dof)`` samples: ``building.sensitivity_coefficients``
+  forms the block's coefficients with elementwise arithmetic only, then
+  ``building.response_sensitivities`` runs per sample, with a batched
+  matmul over modes (``K = 8``) and the mode-to-story gemm
+  (``M = K = n_dof``).  Each sample's coefficients are the same bits in
+  any block, so the result does not depend on ``ROWS``.
 - ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
   the Newton step need it, with one batched matmul over stories
   (``K = n_dof`` within each sample).
@@ -36,7 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .building import N_PARAMS, ShearBuildingModel, response_sensitivities, sensitivity_buffers
+from .building import (
+    N_PARAMS, ShearBuildingModel, response_sensitivities, sensitivity_buffers,
+    sensitivity_coefficients,
+)
 from .priors import SampleSet
 
 
@@ -82,27 +92,48 @@ class ElementaryFimSet:
         return self.matrices.shape[2]
 
 
+# Mode-rows (samples times stories) whose sensitivity coefficients are
+# computed in one pass: 64 samples at 4 stories, 5 at 50.  Counted in
+# rows, not samples, so that the pass's temporaries (a few dozen arrays of
+# ROWS floats) stay small at any height.
+ROWS = 256
+
+
 def compute_elementary_set(
     model: ShearBuildingModel, samples: SampleSet, times
 ) -> ElementaryFimSet:
     """Precompute elementary matrices for every prior sample.
 
-    Samples are processed one at a time in order; the result depends only
-    on (model, samples, times).  Every sample's sensitivities are written
-    into the same ``building.SensitivityBuffers``, allocated here once.
+    Two passes per block of ``max(1, ROWS // n_dof)`` samples: one
+    ``building.sensitivity_coefficients`` call forms the modal constants
+    and sensitivity coefficients of the whole block, then each sample's
+    ``response_sensitivities`` builds its time bases, modal derivatives and
+    story map from its coefficients, and its outer products follow.
+    Samples run in order, and the result depends only on (model, samples,
+    times).  Every sample's sensitivities are written into the same
+    ``building.SensitivityBuffers``, allocated here once.
     """
-    out = np.empty((samples.n_samples, model.n_dof, N_PARAMS, N_PARAMS))
-    buffers = sensitivity_buffers(model.n_dof, times)
-    for k in range(samples.n_samples):
-        sens = response_sensitivities(model, samples.parameters(k), times, buffers=buffers)
-        # The sensitivities are stored (story, parameter, time): summing
-        # along contiguous time keeps the einsum loop vectorised.
-        story_major = sens.transpose(1, 2, 0)
-        np.einsum("ipn,iqn->ipq", story_major, story_major, out=out[k])
-        # The diagonal sums the squares of every sensitivity, so it is
-        # finite exactly when they all are (and their squares do not overflow).
-        if not np.all(np.isfinite(out[k])):
-            raise FloatingPointError(f"non-finite sensitivities for sample {k}")
+    n_samples, n_dof = samples.n_samples, model.n_dof
+    out = np.empty((n_samples, n_dof, N_PARAMS, N_PARAMS))
+    buffers = sensitivity_buffers(n_dof, times)
+    block = max(1, ROWS // n_dof)
+    for start in range(0, n_samples, block):
+        stop = min(start + block, n_samples)
+        # Range-check every row before the pass, as one sample at a time would.
+        thetas = [samples.parameters(k) for k in range(start, stop)]
+        block_coefficients = sensitivity_coefficients(model, samples.values[start:stop])
+        for k, theta, coefficients in zip(range(start, stop), thetas, zip(*block_coefficients)):
+            sens = response_sensitivities(
+                model, theta, times, buffers=buffers, coefficients=coefficients
+            )
+            # The sensitivities are stored (story, parameter, time): summing
+            # along contiguous time keeps the einsum loop vectorised.
+            story_major = sens.transpose(1, 2, 0)
+            np.einsum("ipn,iqn->ipq", story_major, story_major, out=out[k])
+            # The diagonal sums the squares of every sensitivity, so it is
+            # finite exactly when they all are (and their squares do not overflow).
+            if not np.all(np.isfinite(out[k])):
+                raise FloatingPointError(f"non-finite sensitivities for sample {k}")
     out.setflags(write=False)
     return ElementaryFimSet(matrices=out)
 

@@ -45,9 +45,12 @@ class Marginal:
     def __post_init__(self):
         if self.dist not in _DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {_DISTRIBUTIONS}, got {self.dist!r}")
-        if self.std <= 0:
+        # Written so that NaN fails every check.
+        if not self.std > 0:
             raise ValueError(f"std must be positive, got {self.std}")
-        if self.dist == "lognormal" and self.mean <= 0:
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
+        if self.dist == "lognormal" and not self.mean > 0:
             raise ValueError(f"lognormal mean must be positive, got {self.mean}")
 
     def implied_moments(self) -> tuple[float, float]:
@@ -99,9 +102,9 @@ def lognormal_underlying(mean: float, std: float) -> tuple[float, float]:
     ``sigma_ln^2 = ln(1 + std^2/mean^2)`` and
     ``mu_ln = ln(mean) - sigma_ln^2 / 2``.
     """
-    if mean <= 0:
+    if not mean > 0:
         raise ValueError(f"mean must be positive, got {mean}")
-    if std <= 0:
+    if not std > 0:
         raise ValueError(f"std must be positive, got {std}")
     var_ln = math.log1p((std / mean) ** 2)
     return math.log(mean) - var_ln / 2.0, math.sqrt(var_ln)

@@ -61,16 +61,17 @@ class SolverOptions:
     enumeration_cap: int = 1_000_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
+        # Written so that NaN fails every check.
+        if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
         if not 0 < self.ambiguity_threshold < 0.5:
             raise ValueError(
                 f"ambiguity_threshold must be in (0, 0.5), got {self.ambiguity_threshold}"
             )
-        if self.barrier_t0 <= 0 or self.barrier_multiplier <= 1:
+        if not (self.barrier_t0 > 0 and self.barrier_multiplier > 1):
             raise ValueError("barrier parameters must satisfy t0 > 0, multiplier > 1")
         for name in ("max_outer_iterations", "max_newton_iterations", "enumeration_cap"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 

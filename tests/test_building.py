@@ -33,6 +33,14 @@ def _ode_mode(wj, zj, aj, w, t_end, t_eval):
     )
 
 
+class TestSystemParameters:
+    @pytest.mark.parametrize("name", PARAMETER_NAMES)
+    def test_nan_rejected(self, name):
+        values = dict(zip(PARAMETER_NAMES, PRIOR_MEANS.as_array()), **{name: float("nan")})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SystemParameters(**values)
+
+
 class TestBuildUniformShearModel:
     def test_three_story_matrices(self):
         model = build_uniform_shear_model(3)

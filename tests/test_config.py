@@ -86,6 +86,14 @@ def test_baselines_validated():
     assert any("genetic" in v for v in excinfo.value.violations)
 
 
+def test_repeated_baselines_reported_with_other_violations():
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(dict(GOOD, dt=-1.0, baselines=["low", "greedy", "low"]))
+    violations = excinfo.value.violations
+    assert "baselines: repeated labels ['low']" in violations
+    assert any(v.startswith("dt:") for v in violations)
+
+
 def test_types_checked():
     with pytest.raises(ConfigError):
         validate_config(dict(GOOD, n_dof="four"))

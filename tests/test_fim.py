@@ -8,13 +8,16 @@ from sensoropt import (
     Marginal,
     SampleSet,
     SingularInformationError,
+    SystemParameters,
     TimeGrid,
+    UnsupportedDampingError,
     build_uniform_shear_model,
     compute_elementary_set,
     default_prior,
     fim,
     mc_gradient_hessian,
     mc_objective,
+    modal_constants,
     preflight_check,
     response_sensitivities,
     sample_prior,
@@ -61,7 +64,8 @@ def _elementary_from(monkeypatch, sens) -> np.ndarray:
     """Elementary matrices of one sample whose sensitivity field is ``sens``."""
     sens = np.asarray(sens, dtype=float)
     monkeypatch.setattr(
-        fim, "response_sensitivities", lambda model, theta, times, *, buffers=None: sens
+        fim, "response_sensitivities",
+        lambda model, theta, times, *, buffers=None, coefficients=None: sens,
     )
     model = build_uniform_shear_model(sens.shape[1])
     samples = sample_prior(default_prior(), 1, seed=0)
@@ -107,6 +111,40 @@ class TestElementaryMatrices:
         backward = compute_elementary_set(model, reverse, grid).matrices[::-1]
         np.testing.assert_array_equal(forward, expected)
         np.testing.assert_array_equal(backward, expected)
+
+    @pytest.mark.parametrize("n_dof, n_samples, k", [(4, 150, 100), (50, 13, 7)])
+    def test_block_boundaries(self, n_dof, n_samples, k):
+        # The sensitivity coefficients are computed for blocks of samples.
+        # The full set spans at least three blocks, and k is not a multiple
+        # of the block, so the first k samples and the rest, each computed
+        # alone, are split into blocks differently from the full set.
+        block = max(1, fim.ROWS // n_dof)
+        assert n_samples > 2 * block and k % block
+        model = build_uniform_shear_model(n_dof)
+        samples = sample_prior(default_prior(), n_samples, seed=6)
+        grid = TimeGrid(200, 0.01)
+        full = compute_elementary_set(model, samples, grid).matrices
+        for part in (slice(None, k), slice(k, None)):
+            alone = SampleSet(values=samples.values[part], seed=samples.seed)
+            np.testing.assert_array_equal(
+                compute_elementary_set(model, alone, grid).matrices, full[part]
+            )
+
+    def test_overdamped_sample_in_a_later_block(self):
+        # The error names the first overdamped sample of its block, as
+        # modal_constants does for that sample alone; a later sample of the
+        # same block is damped more, so reporting the worst would differ.
+        model = build_uniform_shear_model(4)
+        block = fim.ROWS // 4
+        values = sample_prior(default_prior(), 3 * block, seed=7).values.copy()
+        first = block + block // 2
+        values[first] = [1.0, 10.0, 0.0, 1.0, 1.0]
+        values[first + 3] = [1.0, 20.0, 0.0, 1.0, 1.0]
+        with pytest.raises(UnsupportedDampingError) as alone:
+            modal_constants(model, SystemParameters(*values[first]))
+        with pytest.raises(UnsupportedDampingError) as in_set:
+            compute_elementary_set(model, SampleSet(values=values, seed=7), TimeGrid(100, 0.01))
+        assert str(in_set.value) == str(alone.value)
 
     def test_against_brute_force_loop(self):
         model = build_uniform_shear_model(2)

@@ -49,6 +49,13 @@ class TestMarginal:
         with pytest.raises(ValueError):
             Marginal("normal", 0.0, 0.0)
 
+    @pytest.mark.parametrize("dist, mean, std", [
+        ("normal", 0.0, math.nan), ("normal", math.nan, 1.0), ("lognormal", math.nan, 0.5),
+    ])
+    def test_nan_rejected(self, dist, mean, std):
+        with pytest.raises(ValueError):
+            Marginal(dist, mean, std)
+
     def test_lognormal_needs_positive_location(self):
         with pytest.raises(ValueError):
             Marginal("lognormal", -1.0, 0.5)
@@ -77,6 +84,8 @@ class TestLognormalUnderlying:
             lognormal_underlying(-1.0, 0.2)
         with pytest.raises(ValueError):
             lognormal_underlying(1.0, 0.0)
+        with pytest.raises(ValueError):
+            lognormal_underlying(math.nan, 0.2)
 
     def test_moment_roundtrip_by_sampling(self):
         mean, std = 3.7, 0.6

@@ -107,6 +107,14 @@ class TestSolveRelaxed:
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             SolverOptions(**{name: 0})
 
+    @pytest.mark.parametrize("name", [
+        "tolerance", "barrier_t0", "barrier_multiplier", "ambiguity_threshold",
+        "max_outer_iterations",
+    ])
+    def test_options_reject_nan(self, name):
+        with pytest.raises(ValueError):
+            SolverOptions(**{name: float("nan")})
+
     def test_custom_start_must_be_feasible(self, four_dof_fimset):
         with pytest.raises(ValueError):
             solve_relaxed(four_dof_fimset, 2, z0=np.array([1.0, 1.0, 0.0, 0.0]))

@@ -75,6 +75,7 @@ sets = {
     )
     for n_dof, n_samples in ((4, 1000), (50, 130))
 }
+digests["elementary matrices, 4 stories x 1000 samples"] = digest(sets[4].matrices)
 for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
     fimset = ElementaryFimSet(matrices=sets[n_dof].matrices[:n_samples])
     # Interior and non-uniform, so no story's terms share a weight.
@@ -123,7 +124,7 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 14
+    assert len(reference) == 15
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
@@ -149,8 +150,10 @@ def test_modal_matmul_matches_non_blas_einsum():
     grid = TimeGrid(1000, 0.01)
     for n_dof in (4, 50, 80):
         model = build_uniform_shear_model(n_dof)
-        coef, bases = building._sensitivity_coefficients(model, theta, grid)
-        reference = np.einsum("jpb,jbn->jpn", coef, bases)
+        block = building.sensitivity_coefficients(model, theta.as_array()[None])
+        buffers = building.sensitivity_buffers(n_dof, grid)
+        bases = building._time_bases(block.rate[0], theta.omega, grid, buffers)
+        reference = np.einsum("jpb,jbn->jpn", block.coef[0], bases)
         dq = building._modal_sensitivities(model, theta, grid)
         scale = np.max(np.abs(reference), axis=(0, 2))
         error = np.max(np.abs(dq - reference), axis=(0, 2))
