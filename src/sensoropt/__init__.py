@@ -44,7 +44,6 @@ from .solver import (
     SolverOptions,
     certify_or_repair,
     kkt_certificate,
-    round_solution,
     solve_relaxed,
 )
 from .baselines import compare, exhaustive, fixed_configs, greedy_forward

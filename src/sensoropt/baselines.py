@@ -6,7 +6,6 @@ Everything here scores configurations by the expected log-determinant
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +19,7 @@ from .fim import (
     mc_objective,
     regularization_scale,
 )
+from .solver import ENUMERATION_CAP, best_combination
 
 LN2 = math.log(2.0)
 
@@ -128,30 +128,24 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     )
 
 
-def exhaustive(fimset: ElementaryFimSet, budget: int, cap: int = 1_000_000) -> ExhaustiveResult:
+def exhaustive(fimset: ElementaryFimSet, budget: int) -> ExhaustiveResult:
     """Exact combinatorial optimum by enumerating every configuration.
 
-    Refuses when the number of configurations exceeds ``cap``.  Ties go to
-    the lexicographically smallest configuration.
+    The repair's search with no story fixed and every story in the pool.
+    Refuses, before any evaluation, when the number of configurations
+    exceeds ``ENUMERATION_CAP``.  Ties go to the lexicographically smallest
+    configuration.
     """
     n = fimset.n_dof
     if not 1 <= budget <= n:
         raise ValueError(f"budget must satisfy 1 <= budget <= {n}, got {budget}")
     count = math.comb(n, budget)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise ValueError(
-            f"exhaustive search over {count} configurations exceeds the cap of {cap}"
+            f"exhaustive search over {count} configurations exceeds the cap of {ENUMERATION_CAP}"
         )
-    best_value = -math.inf
-    best_delta = None
-    for combo in itertools.combinations(range(n), budget):
-        delta = np.zeros(n, dtype=int)
-        delta[list(combo)] = 1
-        value = -mc_objective(delta.astype(float), fimset)
-        if value > best_value:
-            best_value = value
-            best_delta = delta
-    return ExhaustiveResult(delta=best_delta, objective_value=best_value, n_evaluations=count)
+    delta, value, evals = best_combination(fimset, [], range(n), budget)
+    return ExhaustiveResult(delta=delta, objective_value=value, n_evaluations=evals)
 
 
 def fixed_configs(n_dof: int = 50, budget: int = 20) -> dict[str, np.ndarray]:

@@ -88,13 +88,6 @@ class SystemParameters:
         if not math.isfinite(self.a0):
             raise ValueError(f"a0 must be finite, got {self.a0}")
 
-    @classmethod
-    def from_array(cls, values) -> "SystemParameters":
-        values = np.asarray(values, dtype=float)
-        if values.shape != (N_PARAMS,):
-            raise ValueError(f"expected {N_PARAMS} parameters, got shape {values.shape}")
-        return cls(*values)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.omega0, self.alpha, self.beta, self.omega, self.a0])
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .config import BASELINE_LABELS, ConfigError, load_config
 from .pipeline import PipelineError, run_oracle, run_pipeline, write_report
+from .solver import ENUMERATION_CAP
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -23,7 +24,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "compare", help="run the pipeline with an explicit baseline list"
     )
     oracle = sub.add_parser(
-        "oracle", help="exhaustive combinatorial optimum, where feasible"
+        "oracle",
+        help=f"exhaustive combinatorial optimum, refused above {ENUMERATION_CAP:,} configurations",
     )
 
     for p in (place, compare, oracle):
@@ -35,12 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--configs",
         required=True,
         help=f"comma-separated baseline labels, from {','.join(BASELINE_LABELS)}",
-    )
-    oracle.add_argument(
-        "--exhaustive-cap",
-        type=int,
-        default=1_000_000,
-        help="refuse enumerations larger than this many configurations",
     )
     return parser
 
@@ -78,7 +74,7 @@ def _run_place(args) -> int:
 
 def _run_oracle(args) -> int:
     config = _load(args)
-    result = run_oracle(config, args.exhaustive_cap)
+    result = run_oracle(config)
 
     out = _resolve_out(args, config)
     out.mkdir(parents=True, exist_ok=True)

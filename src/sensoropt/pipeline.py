@@ -118,8 +118,8 @@ def _elementary_stages(config: RunConfig, timings: dict) -> ElementaryFimSet:
         return compute_elementary_set(model, samples, grid)
 
 
-def run_oracle(config: RunConfig, cap: int) -> ExhaustiveResult:
-    """Exhaustive combinatorial optimum, refusing more than ``cap`` configurations.
+def run_oracle(config: RunConfig) -> ExhaustiveResult:
+    """Exhaustive combinatorial optimum; ``exhaustive`` refuses above its cap.
 
     Shares the first three stages with ``run_pipeline`` and runs the
     enumeration as its own ``exhaustive`` stage.
@@ -127,7 +127,7 @@ def run_oracle(config: RunConfig, cap: int) -> ExhaustiveResult:
     timings: dict[str, float] = {}
     elems = _elementary_stages(config, timings)
     with _stage("exhaustive", timings):
-        return exhaustive(elems, config.budget, cap=cap)
+        return exhaustive(elems, config.budget)
 
 
 def run_pipeline(config: RunConfig) -> PlacementReport:
@@ -144,7 +144,6 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
             solution.z_star,
             elems,
             config.budget,
-            config.solver,
             objective_relaxed=solution.objective_relaxed,
         )
 
@@ -161,7 +160,7 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
             counts["greedy"] = greedy.n_evaluations
         if "exhaustive" in config.baselines:
             try:
-                exact = exhaustive(elems, config.budget, config.solver.enumeration_cap)
+                exact = exhaustive(elems, config.budget)
                 configs.append(("exhaustive", exact.delta))
                 counts["exhaustive"] = exact.n_evaluations
             except ValueError as exc:

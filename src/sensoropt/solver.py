@@ -4,9 +4,12 @@ The relaxed problem minimizes the Monte-Carlo objective over the box
 [0, 1]^n subject to a fixed sensor budget (an equality on the sum of the
 weights).  The 2n box constraints go into a logarithmic barrier; each
 barrier subproblem is solved by equality-constrained Newton steps with
-backtracking line search.  Rounding and an enumeration-based repair of
-ambiguous entries turn the relaxed optimum into a certified binary
-configuration.
+backtracking line search.  ``certify_or_repair`` turns the relaxed
+optimum into a binary configuration.  It holds every story whose weight
+is within ``AMBIGUITY_THRESHOLD`` of 0 or 1 at that rounded value and
+scores every way of placing the remaining sensors among the ambiguous
+stories in between.  "Certified" means exactly that search was complete;
+it is not a proof of optimality over all C(n, k) configurations.
 
 Each Newton system is factored with ``np.linalg.cholesky`` and solved by
 two ``np.linalg.solve`` calls on the triangular factors
@@ -39,13 +42,22 @@ _BOUNDARY_FRACTION = 0.99
 _MAX_BACKTRACKS = 60
 
 
+# Coordinates genuinely pinned to a bound sit within ~1e-8 of it at the
+# final barrier stage, while fractional coordinates can come out anywhere
+# in between, including 0.99+; the threshold below separates the two
+# regimes so the repair enumerates every fractional entry.
+AMBIGUITY_THRESHOLD = 1e-3
+# Most configurations one combination search scores, in the repair and in
+# the exhaustive baseline.
+ENUMERATION_CAP = 1_000_000
+
+
 @dataclass
 class SolverOptions:
     """Interior-point controls.
 
     ``tolerance`` bounds both the barrier duality-gap estimate and the
-    stationarity residual of the returned point.  ``ambiguity_threshold``
-    marks relaxed weights in (eta, 1 - eta) as ambiguous during repair.
+    stationarity residual of the returned point.
     """
 
     tolerance: float = 1e-6
@@ -53,24 +65,14 @@ class SolverOptions:
     max_newton_iterations: int = 50
     barrier_t0: float = 2.0
     barrier_multiplier: float = 10.0
-    # Coordinates genuinely pinned to a bound sit within ~1e-8 of it at
-    # the final barrier stage, while fractional coordinates can come out
-    # anywhere in between, including 0.99+; the threshold below separates
-    # the two regimes so the repair enumerates every fractional entry.
-    ambiguity_threshold: float = 1e-3
-    enumeration_cap: int = 1_000_000
 
     def __post_init__(self):
         # Written so that NaN fails every check.
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not 0 < self.ambiguity_threshold < 0.5:
-            raise ValueError(
-                f"ambiguity_threshold must be in (0, 0.5), got {self.ambiguity_threshold}"
-            )
         if not (self.barrier_t0 > 0 and self.barrier_multiplier > 1):
             raise ValueError("barrier parameters must satisfy t0 > 0, multiplier > 1")
-        for name in ("max_outer_iterations", "max_newton_iterations", "enumeration_cap"):
+        for name in ("max_outer_iterations", "max_newton_iterations"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
@@ -343,90 +345,24 @@ def kkt_certificate(z: np.ndarray, grad: np.ndarray, nu: float):
     return stationarity, complementarity, lam_lo, lam_hi
 
 
-def _top_k_indices(z: np.ndarray, k: int) -> np.ndarray:
-    # Stable sort on -z: ties resolve to the lower story index.
-    order = np.argsort(-z, kind="stable")
-    return np.sort(order[:k])
+def best_combination(
+    fimset: ElementaryFimSet, fixed_on, pool, k: int
+) -> tuple[np.ndarray, float, int]:
+    """Best way of adding ``k`` stories from ``pool`` to the stories ``fixed_on``.
 
-
-def round_solution(
-    z_star: np.ndarray,
-    fimset: ElementaryFimSet,
-    budget: int,
-    objective_relaxed: float | None = None,
-) -> BinaryPlacement:
-    """Round a relaxed optimum to the highest-weight binary configuration.
-
-    The ``budget`` largest entries become 1 (ties to the lower story) and
-    the binary objective is recomputed exactly.  The result is certified
-    only when the relaxed optimum was already essentially binary, which
-    shows up as a vanishing rounding gap.
+    Scores every combination of ``pool`` in lexicographic order and keeps
+    the first strict maximum, so ties go to the lexicographically smallest
+    configuration when ``pool`` is sorted.  Returns ``(delta, value,
+    n_evaluations)``; ``value`` is the expected log-determinant of
+    ``delta``.  Callers check the combination count against
+    ``ENUMERATION_CAP`` first.
     """
-    z = check_sensor_vector(z_star, fimset.n_dof, budget=budget)
-    evals = 0
-    if objective_relaxed is None:
-        objective_relaxed = -mc_objective(z, fimset)
-        evals += 1
-    delta = np.zeros(fimset.n_dof, dtype=int)
-    delta[_top_k_indices(z, budget)] = 1
-    value = -mc_objective(delta.astype(float), fimset)
-    evals += 1
-    gap = objective_relaxed - value
-    certified = gap <= 1e-8 * max(abs(objective_relaxed), 1.0)
-    return BinaryPlacement(
-        delta=delta,
-        objective_binary=value,
-        certified_optimal=certified,
-        gap=gap,
-        ambiguous_indices=(),
-        objective_evaluations=evals,
-    )
-
-
-def certify_or_repair(
-    z_star: np.ndarray,
-    fimset: ElementaryFimSet,
-    budget: int,
-    options: SolverOptions | None = None,
-    objective_relaxed: float | None = None,
-) -> BinaryPlacement:
-    """Certify a rounded solution or repair it by enumerating ambiguous entries.
-
-    Entries of the relaxed optimum inside (eta, 1 - eta) are ambiguous.
-    Holding the unambiguous ones fixed, all ways of spending the remaining
-    budget among the ambiguous stories are enumerated and the best kept.
-    The result is certified when the enumeration was exhaustive (an empty
-    ambiguous set counts) or the relaxed optimum was already binary; if the
-    enumeration would exceed the cap, the plain rounding is returned
-    uncertified.
-    """
-    options = options or SolverOptions()
-    z = check_sensor_vector(z_star, fimset.n_dof, budget=budget)
-    if objective_relaxed is None:
-        objective_relaxed = -mc_objective(z, fimset)
-
-    eta = options.ambiguity_threshold
-    ambiguous = np.flatnonzero((z > eta) & (z < 1.0 - eta))
-    fixed_on = np.flatnonzero(z >= 1.0 - eta)
-    remaining = budget - fixed_on.size
-
-    def _fallback() -> BinaryPlacement:
-        rounded = round_solution(z, fimset, budget, objective_relaxed)
-        rounded.certified_optimal = False
-        rounded.ambiguous_indices = tuple(int(i) for i in ambiguous)
-        return rounded
-
-    if remaining < 0 or remaining > ambiguous.size:
-        return _fallback()
-    if math.comb(ambiguous.size, remaining) > options.enumeration_cap:
-        return _fallback()
-
     base = np.zeros(fimset.n_dof, dtype=int)
     base[fixed_on] = 1
     best_delta = None
     best_value = -math.inf
     evals = 0
-    for combo in itertools.combinations(ambiguous.tolist(), remaining):
+    for combo in itertools.combinations(pool, k):
         delta = base.copy()
         delta[list(combo)] = 1
         value = -mc_objective(delta.astype(float), fimset)
@@ -434,12 +370,55 @@ def certify_or_repair(
         if value > best_value:
             best_value = value
             best_delta = delta
-    gap = objective_relaxed - best_value
+    return best_delta, best_value, evals
+
+
+def certify_or_repair(
+    z_star: np.ndarray,
+    fimset: ElementaryFimSet,
+    budget: int,
+    objective_relaxed: float | None = None,
+) -> BinaryPlacement:
+    """Round a relaxed optimum, repairing its ambiguous entries by enumeration.
+
+    Entries of the relaxed optimum inside (eta, 1 - eta), with eta =
+    ``AMBIGUITY_THRESHOLD``, are ambiguous.  Every other story is held at
+    its rounded value, and every way of spending the remaining budget
+    among the ambiguous stories is scored; the best is kept (ties to the
+    lexicographically smallest).  Such a complete search, an empty
+    ambiguous set included, is reported as certified.  That is not a
+    proof over all C(n, k) configurations: a story held at 0 or 1 is never
+    reconsidered.  When the search would exceed ``ENUMERATION_CAP``
+    configurations, the ``budget`` largest entries are placed instead (ties
+    to the lower story) and the result is not certified.
+    """
+    z = check_sensor_vector(z_star, fimset.n_dof, budget=budget)
+    if objective_relaxed is None:
+        objective_relaxed = -mc_objective(z, fimset)
+
+    eta = AMBIGUITY_THRESHOLD
+    ambiguous = np.flatnonzero((z > eta) & (z < 1.0 - eta))
+    fixed_on = np.flatnonzero(z >= 1.0 - eta)
+    remaining = budget - fixed_on.size
+
+    certified = (
+        0 <= remaining <= ambiguous.size
+        and math.comb(ambiguous.size, remaining) <= ENUMERATION_CAP
+    )
+    if certified:
+        delta, value, evals = best_combination(
+            fimset, fixed_on, ambiguous.tolist(), remaining
+        )
+    else:
+        # The top-k rounding, scored as a search with nothing left to place.
+        # Stable sort on -z: ties resolve to the lower story index.
+        top_k = np.argsort(-z, kind="stable")[:budget]
+        delta, value, evals = best_combination(fimset, top_k, [], 0)
     return BinaryPlacement(
-        delta=best_delta,
-        objective_binary=best_value,
-        certified_optimal=True,
-        gap=gap,
+        delta=delta,
+        objective_binary=value,
+        certified_optimal=certified,
+        gap=objective_relaxed - value,
         ambiguous_indices=tuple(int(i) for i in ambiguous),
         objective_evaluations=evals,
     )

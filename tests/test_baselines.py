@@ -80,9 +80,14 @@ class TestExhaustive:
         ]
         assert all(v <= exact.objective_value + 1e-9 for v in candidates)
 
-    def test_cap_refusal_reports_count(self, four_dof_fimset):
-        with pytest.raises(ValueError, match="6 configurations"):
-            exhaustive(four_dof_fimset, 2, cap=5)
+    def test_cap_refusal_reports_count(self):
+        from sensoropt.fim import ElementaryFimSet
+
+        # C(30, 10) = 30,045,015 configurations; refused before the first
+        # evaluation, so the (singular) zero matrices are never scored.
+        fimset = ElementaryFimSet(np.zeros((1, 30, 5, 5)))
+        with pytest.raises(ValueError, match="30045015 configurations exceeds the cap of 1000000"):
+            exhaustive(fimset, 10)
 
 
 class TestFixedConfigs:

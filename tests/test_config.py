@@ -114,11 +114,11 @@ NORMAL_A0 = {"dist": "normal", "mean": 0.0}
         ({"prior": {"a0": dict(NORMAL_A0, std="1")}}, "prior.a0.std"),
         ({"seed": -1}, "seed"),
         ({"solver": {"max_outer_iterations": 2.5}}, "solver.max_outer_iterations"),
-        ({"solver": {"enumeration_cap": "big"}}, "solver.enumeration_cap"),
+        ({"solver": {"enumeration_cap": 10**6}}, "solver: unknown keys ['enumeration_cap']"),
         ({"solver": {"tolerance": True}}, "solver.tolerance"),
         ({"solver": {"max_outer_iterations": 0}}, "solver: max_outer_iterations"),
         ({"solver": {"max_newton_iterations": 0}}, "solver: max_newton_iterations"),
-        ({"solver": {"enumeration_cap": 0}}, "solver: enumeration_cap"),
+        ({"solver": {"ambiguity_threshold": 1e-3}}, "solver: unknown keys ['ambiguity_threshold']"),
     ],
 )
 def test_schema_rejects_value_and_names_field(override, named):

@@ -148,12 +148,12 @@ class TestCli:
 
     def test_oracle_cap_exceeded_fails_with_count(self, tmp_path):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps(SMALL))
-        proc = _run_cli(
-            ["oracle", "--config", str(config_path), "--exhaustive-cap", "1"]
+        config_path.write_text(
+            json.dumps(dict(SMALL, n_dof=30, budget=10, n_steps=20, n_samples=2))
         )
+        proc = _run_cli(["oracle", "--config", str(config_path)])
         assert proc.returncode == 1
-        assert "2 configurations" in proc.stderr
+        assert "30045015 configurations" in proc.stderr  # C(30, 10)
 
     def test_config_error_exit_code_and_all_violations(self, tmp_path):
         config_path = tmp_path / "bad.json"

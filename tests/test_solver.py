@@ -13,10 +13,11 @@ from sensoropt import (
     kkt_certificate,
     mc_gradient_hessian,
     mc_objective,
-    round_solution,
     sample_prior,
     solve_relaxed,
 )
+from sensoropt import solver
+from sensoropt.fim import ElementaryFimSet
 from sensoropt.solver import _newton_direction
 
 from conftest import random_feasible_z
@@ -100,16 +101,13 @@ class TestSolveRelaxed:
             solve_relaxed(four_dof_fimset, 2, opts)
         assert isinstance(excinfo.value.trace, list)
 
-    @pytest.mark.parametrize(
-        "name", ["max_outer_iterations", "max_newton_iterations", "enumeration_cap"]
-    )
+    @pytest.mark.parametrize("name", ["max_outer_iterations", "max_newton_iterations"])
     def test_options_reject_counts_below_one(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             SolverOptions(**{name: 0})
 
     @pytest.mark.parametrize("name", [
-        "tolerance", "barrier_t0", "barrier_multiplier", "ambiguity_threshold",
-        "max_outer_iterations",
+        "tolerance", "barrier_t0", "barrier_multiplier", "max_outer_iterations",
     ])
     def test_options_reject_nan(self, name):
         with pytest.raises(ValueError):
@@ -149,41 +147,62 @@ class TestNewtonDirection:
             _newton_direction(hess, grad)
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Every repair exceeds the cap and falls back to the top-k rounding."""
+    monkeypatch.setattr(solver, "ENUMERATION_CAP", 0)
+
+
 class TestRoundSolution:
+    """Rounding: a binary relaxed optimum, and the over-cap top-k fallback."""
+
     def test_binary_input_is_fixed_point(self, four_dof_fimset):
         z = np.array([1.0, 0.0, 0.0, 1.0])
-        placed = round_solution(z, four_dof_fimset, 2)
+        placed = certify_or_repair(z, four_dof_fimset, 2)
         np.testing.assert_array_equal(placed.delta, [1, 0, 0, 1])
         assert placed.gap == pytest.approx(0.0, abs=1e-12)
         assert placed.certified_optimal
 
-    def test_top_k_selection(self, four_dof_fimset):
+    def test_top_k_selection(self, four_dof_fimset, no_enumeration):
         z = np.array([0.9, 0.6, 0.5, 0.0])
-        placed = round_solution(z, four_dof_fimset, 2, objective_relaxed=0.0)
+        placed = certify_or_repair(z, four_dof_fimset, 2, objective_relaxed=0.0)
         np.testing.assert_array_equal(placed.delta, [1, 1, 0, 0])
+        assert not placed.certified_optimal
 
-    def test_tie_breaks_to_lower_story(self, four_dof_fimset):
+    def test_tie_breaks_to_lower_story(self, four_dof_fimset, no_enumeration):
         z = np.array([0.5, 0.5, 0.5, 0.5])
-        placed = round_solution(z, four_dof_fimset, 2, objective_relaxed=0.0)
+        placed = certify_or_repair(z, four_dof_fimset, 2, objective_relaxed=0.0)
         np.testing.assert_array_equal(placed.delta, [1, 1, 0, 0])
+        assert not placed.certified_optimal
 
     def test_gap_is_relaxed_minus_binary(self, four_dof_fimset):
         sol = solve_relaxed(four_dof_fimset, 2)
-        placed = round_solution(
+        placed = certify_or_repair(
             sol.z_star, four_dof_fimset, 2, objective_relaxed=sol.objective_relaxed
         )
+        assert placed.gap == sol.objective_relaxed - placed.objective_binary
         assert placed.gap >= -1e-9
         assert placed.objective_binary == pytest.approx(
             -mc_objective(placed.delta.astype(float), four_dof_fimset), rel=1e-12
         )
 
 
+def _twin_story_fimset():
+    """Three stories at one sample; stories 2 and 3 carry identical matrices."""
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 5))
+    b = rng.normal(size=(5, 5))
+    matrices = np.stack([a @ a.T + np.eye(5), 0.1 * b @ b.T, 0.1 * b @ b.T])
+    return ElementaryFimSet(matrices[None])
+
+
 class TestCertifyOrRepair:
     def test_no_ambiguity_equals_rounding(self, four_dof_fimset):
         z = np.array([0.999999, 0.0000005, 0.0000005, 1.0])
         placed = certify_or_repair(z, four_dof_fimset, 2)
-        rounded = round_solution(z, four_dof_fimset, 2)
-        np.testing.assert_array_equal(placed.delta, rounded.delta)
+        np.testing.assert_array_equal(placed.delta, [1, 0, 0, 1])
+        assert placed.ambiguous_indices == ()
+        assert placed.objective_evaluations == 1
         assert placed.certified_optimal
 
     def test_repair_attains_exhaustive_optimum(self, four_dof_fimset):
@@ -206,14 +225,25 @@ class TestCertifyOrRepair:
         exact = exhaustive(fimset, 2)
         assert placed.objective_binary == pytest.approx(exact.objective_value, abs=1e-9)
 
-    def test_enumeration_cap_returns_uncertified_rounding(self, four_dof_fimset):
-        opts = SolverOptions(enumeration_cap=1)
+    def test_identical_stories_tie_to_the_lower_one(self):
+        fimset = _twin_story_fimset()
+        exact = exhaustive(fimset, 2)
+        placed = certify_or_repair(np.array([1.0, 0.5, 0.5]), fimset, 2)
+        np.testing.assert_array_equal(exact.delta, [1, 1, 0])
+        np.testing.assert_array_equal(placed.delta, [1, 1, 0])
+        assert placed.ambiguous_indices == (1, 2)
+        assert placed.certified_optimal
+
+    def test_enumeration_cap_returns_uncertified_rounding(self, monkeypatch, four_dof_fimset):
         z = np.array([0.6, 0.55, 0.45, 0.4])
-        placed = certify_or_repair(z, four_dof_fimset, 2, opts)
+        monkeypatch.setattr(solver, "ENUMERATION_CAP", 6)  # C(4, 2): still searched
+        assert certify_or_repair(z, four_dof_fimset, 2).certified_optimal
+        monkeypatch.setattr(solver, "ENUMERATION_CAP", 5)
+        placed = certify_or_repair(z, four_dof_fimset, 2)
         assert not placed.certified_optimal
-        np.testing.assert_array_equal(
-            placed.delta, round_solution(z, four_dof_fimset, 2).delta
-        )
+        np.testing.assert_array_equal(placed.delta, [1, 1, 0, 0])
+        assert placed.ambiguous_indices == (0, 1, 2, 3)
+        assert placed.objective_evaluations == 1
 
     def test_ambiguous_set_reported(self, four_dof_fimset):
         z = np.array([0.6, 0.55, 0.45, 0.4])
