@@ -41,7 +41,6 @@ from .fim import (
 )
 from .solver import (
     ConvergenceError,
-    SolverOptions,
     certify_or_repair,
     kkt_certificate,
     solve_relaxed,

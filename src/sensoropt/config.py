@@ -1,16 +1,19 @@
 """Run configuration: a strict JSON schema with full-file validation.
 
-The schema is the four dataclasses the file fills: ``RunConfig`` at the
-top level, ``SolverOptions`` under ``solver``, ``PriorSpec`` under
-``prior`` and one ``Marginal`` per prior entry.  Their field names are
-the only accepted keys, their type hints the accepted types, and fields
-without a default are required.  Integers reject booleans and fractions;
-numbers reject booleans, strings and non-finite values.  A section given
-in the file starts from its field's default, so ``prior`` lists only the
-marginals it overrides (each one complete) and ``solver`` only the
-options it changes.  ``SolverOptions`` and ``Marginal`` check their own
-ranges; ``RunConfig``'s ranges are checked here, on whichever fields
-parsed, so that every violation in a file is reported at once.
+The schema is the three dataclasses the file fills: ``RunConfig`` at the
+top level, ``PriorSpec`` under ``prior`` and one ``Marginal`` per prior
+entry.  Their field names are the only accepted keys, their type hints
+the accepted types, and fields without a default are required.  Integers
+reject booleans and fractions; numbers reject booleans, strings and
+non-finite values.  A section given in the file starts from its field's
+default, so ``prior`` lists only the marginals it overrides (each one
+complete).  ``Marginal`` checks its own ranges; ``RunConfig``'s ranges
+are checked here, on whichever fields parsed, so that every violation in
+a file is reported at once.  The interior-point controls are not
+configurable: they are the constants ``TOLERANCE``,
+``MAX_OUTER_ITERATIONS``, ``MAX_NEWTON_ITERATIONS``, ``BARRIER_T0`` and
+``BARRIER_MULTIPLIER`` in ``solver``, so a ``solver`` key is an unknown
+key.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import typing
 from dataclasses import MISSING, dataclass, field
 
 from .priors import PriorSpec, default_prior
-from .solver import SolverOptions
 
 BASELINE_LABELS = ("greedy", "exhaustive", "low", "high", "common")
 
@@ -44,7 +46,6 @@ class RunConfig:
     n_samples: int
     seed: int
     prior: PriorSpec = field(default_factory=default_prior)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     baselines: tuple[str, ...] = ("greedy", "low", "high", "common")
     output_dir: str | None = None
 

@@ -138,17 +138,17 @@ def compute_elementary_set(
     return ElementaryFimSet(matrices=out)
 
 
-def check_sensor_vector(z, n_dof: int, budget: int | None = None, binary: bool = False,
-                        atol: float = 1e-9) -> np.ndarray:
+def check_sensor_vector(z, n_dof: int, budget: int | None = None,
+                        binary: bool = False) -> np.ndarray:
     """Validate a placement vector against box, budget and binary constraints."""
     z = np.asarray(z, dtype=float)
     if z.shape != (n_dof,):
         raise ValueError(f"placement vector must have shape ({n_dof},), got {z.shape}")
-    if np.any(z < -atol) or np.any(z > 1 + atol):
+    if np.any(z < -1e-9) or np.any(z > 1 + 1e-9):
         raise ValueError("placement entries must lie in [0, 1]")
-    if budget is not None and abs(z.sum() - budget) > atol:
+    if budget is not None and abs(z.sum() - budget) > 1e-9:
         raise ValueError(f"placement must sum to {budget}, got {z.sum():.12g}")
-    if binary and np.any(np.minimum(np.abs(z), np.abs(1 - z)) > atol):
+    if binary and np.any(np.minimum(np.abs(z), np.abs(1 - z)) > 1e-9):
         raise ValueError("placement vector is not binary")
     return z
 
@@ -327,7 +327,6 @@ class CountingEvaluator:
         self.fimset = fimset
         self.n_objective = 0
         self.n_gradient = 0
-        self.n_hessian = 0
 
     def objective(self, z) -> float:
         # Counts completed evaluations: a PD failure propagates uncounted.
@@ -342,6 +341,5 @@ class CountingEvaluator:
 
     def gradient_hessian(self, z) -> tuple[np.ndarray, np.ndarray]:
         self.n_gradient += 1
-        self.n_hessian += 1
         return mc_gradient_hessian(z, self.fimset)
 

@@ -72,7 +72,6 @@ class PlacementReport:
                 "iterations": sol.iterations,
                 "objective_evaluations": sol.objective_evaluations,
                 "gradient_evaluations": sol.gradient_evaluations,
-                "hessian_evaluations": sol.hessian_evaluations,
                 "converged": sol.converged,
                 "kkt_residual": sol.kkt_residual,
                 "trace": [dataclasses.asdict(r) for r in sol.trace],
@@ -138,7 +137,7 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
     with _stage("preflight", timings):
         preflight_check(elems)
     with _stage("solve", timings):
-        solution = solve_relaxed(elems, config.budget, config.solver)
+        solution = solve_relaxed(elems, config.budget)
     with _stage("certify", timings):
         placement = certify_or_repair(
             solution.z_star,

@@ -4,7 +4,12 @@ The relaxed problem minimizes the Monte-Carlo objective over the box
 [0, 1]^n subject to a fixed sensor budget (an equality on the sum of the
 weights).  The 2n box constraints go into a logarithmic barrier; each
 barrier subproblem is solved by equality-constrained Newton steps with
-backtracking line search.  ``certify_or_repair`` turns the relaxed
+backtracking line search.  The barrier schedule is fixed: it starts at
+``BARRIER_T0``, grows by ``BARRIER_MULTIPLIER`` per stage, and stops once
+the duality-gap estimate and the complementarity residual are both below
+``TOLERANCE``; ``MAX_OUTER_ITERATIONS`` stages of at most
+``MAX_NEWTON_ITERATIONS`` steps each are allowed.  None of these is
+configurable.  ``certify_or_repair`` turns the relaxed
 optimum into a binary configuration.  It holds every story whose weight
 is within ``AMBIGUITY_THRESHOLD`` of 0 or 1 at that rounded value and
 scores every way of placing the remaining sensors among the ambiguous
@@ -50,31 +55,13 @@ AMBIGUITY_THRESHOLD = 1e-3
 # Most configurations one combination search scores, in the repair and in
 # the exhaustive baseline.
 ENUMERATION_CAP = 1_000_000
-
-
-@dataclass
-class SolverOptions:
-    """Interior-point controls.
-
-    ``tolerance`` bounds both the barrier duality-gap estimate and the
-    stationarity residual of the returned point.
-    """
-
-    tolerance: float = 1e-6
-    max_outer_iterations: int = 100
-    max_newton_iterations: int = 50
-    barrier_t0: float = 2.0
-    barrier_multiplier: float = 10.0
-
-    def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if not (self.barrier_t0 > 0 and self.barrier_multiplier > 1):
-            raise ValueError("barrier parameters must satisfy t0 > 0, multiplier > 1")
-        for name in ("max_outer_iterations", "max_newton_iterations"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+# Bounds both the barrier duality-gap estimate and the complementarity
+# residual of the returned point.
+TOLERANCE = 1e-6
+MAX_OUTER_ITERATIONS = 100
+MAX_NEWTON_ITERATIONS = 50
+BARRIER_T0 = 2.0
+BARRIER_MULTIPLIER = 10.0
 
 
 @dataclass(frozen=True)
@@ -106,7 +93,6 @@ class RelaxedSolution:
     iterations: int
     objective_evaluations: int
     gradient_evaluations: int
-    hessian_evaluations: int
     converged: bool
     kkt_residual: float
     trace: list[IterationRecord] = field(default_factory=list)
@@ -159,18 +145,16 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
 def solve_relaxed(
     fimset: ElementaryFimSet,
     budget: int,
-    options: SolverOptions | None = None,
     z0: np.ndarray | None = None,
     callback=None,
 ) -> RelaxedSolution:
-    """Solve the relaxed placement problem to the requested tolerance.
+    """Solve the relaxed placement problem to ``TOLERANCE``.
 
     Parameters
     ----------
     fimset : ElementaryFimSet
     budget : int
         Number of sensors; 1 <= budget <= n_dof.
-    options : SolverOptions, optional
     z0 : ndarray, optional
         Strictly interior feasible start; defaults to the uniform point
         ``budget / n_dof``.  The converged objective value does not depend
@@ -183,7 +167,6 @@ def solve_relaxed(
     ConvergenceError
         If the iteration limits are exhausted; the trace is attached.
     """
-    options = options or SolverOptions()
     n = fimset.n_dof
     if not 1 <= budget <= n:
         raise ValueError(f"budget must satisfy 1 <= budget <= {n}, got {budget}")
@@ -200,7 +183,6 @@ def solve_relaxed(
             iterations=0,
             objective_evaluations=evaluator.n_objective,
             gradient_evaluations=0,
-            hessian_evaluations=0,
             converged=True,
             kkt_residual=0.0,
             trace=[],
@@ -214,7 +196,7 @@ def solve_relaxed(
             raise ValueError("z0 must be strictly interior to the box")
 
     m_ineq = 2 * n
-    t = options.barrier_t0
+    t = BARRIER_T0
     h_val = evaluator.objective(z)
 
     trace: list[IterationRecord] = []
@@ -222,8 +204,8 @@ def solve_relaxed(
     kkt_residual = math.inf
     converged = False
 
-    for _outer in range(options.max_outer_iterations):
-        for _inner in range(options.max_newton_iterations):
+    for _outer in range(MAX_OUTER_ITERATIONS):
+        for _inner in range(MAX_NEWTON_ITERATIONS):
             grad_h, hess_h = evaluator.gradient_hessian(z)
             grad_phi = -1.0 / z + 1.0 / (1.0 - z)
             hess_phi = 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
@@ -237,13 +219,13 @@ def solve_relaxed(
             nu = w / t
 
             if decrement_sq / 2.0 <= 1e-9 * t:
-                if m_ineq / t >= options.tolerance:
+                if m_ineq / t >= TOLERANCE:
                     break
                 # Final stage: center until the optimality certificate
                 # itself passes, with a floor guarding against stalling
                 # at the limits of double precision.
-                station, comp = kkt_certificate(z, grad_h, nu)[:2]
-                if max(station, comp) <= 0.5 * options.tolerance:
+                kkt_residual = kkt_certificate(z, grad_h, nu)
+                if kkt_residual <= 0.5 * TOLERANCE:
                     break
                 if decrement_sq / 2.0 <= 1e-13 * t:
                     break
@@ -297,16 +279,11 @@ def solve_relaxed(
                 f"Newton iterations exhausted at barrier parameter {t:.3g}", trace
             )
 
-        if m_ineq / t < options.tolerance:
-            # Split the stationarity residual into nonnegative bound
-            # multipliers; stationarity is then exact and the certificate
-            # reduces to complementary slackness, which shrinks like 1/t.
-            station, comp, _, _ = kkt_certificate(z, grad_h, nu)
-            kkt_residual = max(station, comp)
-            if kkt_residual < options.tolerance:
-                converged = True
-                break
-        t *= options.barrier_multiplier
+        # The final stage's centering computed the residual at this z.
+        if m_ineq / t < TOLERANCE and kkt_residual < TOLERANCE:
+            converged = True
+            break
+        t *= BARRIER_MULTIPLIER
     else:
         raise ConvergenceError("barrier stages exhausted without convergence", trace)
     return RelaxedSolution(
@@ -315,34 +292,25 @@ def solve_relaxed(
         iterations=iteration,
         objective_evaluations=evaluator.n_objective,
         gradient_evaluations=evaluator.n_gradient,
-        hessian_evaluations=evaluator.n_hessian,
         converged=converged,
         kkt_residual=kkt_residual,
         trace=trace,
     )
 
 
-def kkt_certificate(z: np.ndarray, grad: np.ndarray, nu: float):
-    """Optimality certificate at an interior point with equality multiplier nu.
+def kkt_certificate(z: np.ndarray, grad: np.ndarray, nu: float) -> float:
+    """Complementary-slackness residual at an interior point with equality multiplier nu.
 
     The bound multipliers absorb the signed stationarity residual,
     ``lam_lo = max(grad + nu, 0)`` and ``lam_hi = max(-(grad + nu), 0)``,
-    so the stationarity norm is zero up to roundoff and optimality is
-    quantified by the complementary-slackness residual.
-
-    Returns
-    -------
-    (stationarity, complementarity, lam_lo, lam_hi)
-        ``stationarity`` is the max-norm of
-        ``grad + nu - lam_lo + lam_hi``; ``complementarity`` is the
-        largest of ``lam_lo * z`` and ``lam_hi * (1 - z)``.
+    so stationarity holds exactly and optimality is quantified by the
+    largest of ``lam_lo * z`` and ``lam_hi * (1 - z)``, which shrinks like
+    1/t along the barrier path.
     """
     signed = grad + nu
     lam_lo = np.maximum(signed, 0.0)
     lam_hi = np.maximum(-signed, 0.0)
-    stationarity = float(np.max(np.abs(signed - lam_lo + lam_hi)))
-    complementarity = float(max(np.max(lam_lo * z), np.max(lam_hi * (1.0 - z))))
-    return stationarity, complementarity, lam_lo, lam_hi
+    return float(max(np.max(lam_lo * z), np.max(lam_hi * (1.0 - z))))
 
 
 def best_combination(

@@ -1,0 +1,38 @@
+"""The README's configuration schema and the short demos stay runnable."""
+
+import dataclasses
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sensoropt import validate_config
+from sensoropt.config import RunConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_schema_block_validates():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### Configuration schema\s+```jsonc\n(.*?)```", readme, re.S).group(1)
+    raw = json.loads(re.sub(r"\s*//.*", "", block))
+    validate_config(raw)
+    # Every top-level field is documented.
+    assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_model_and_response.py", "02_small_building_placement.py"]
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, cwd=ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
