@@ -26,6 +26,11 @@ steps (README, "Determinism").
 - ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
   the Newton step need it, with one batched matmul over stories
   (``K = n_dof`` within each sample).
+- ``_cholesky_all`` factors every sample's ``Q(z)``, for the objective's
+  log-determinant, the Newton step's whitening and the preflight check,
+  and the Newton step inverts the factors.  Both treat each of the 25
+  entries as one vector over the samples and use elementwise arithmetic
+  only, so no BLAS or LAPACK call and no thread count enters.
 - The Newton step's gradient and Hessian (``mc_gradient_hessian``) come
   from per-sample batched matmuls with an inner dimension of at most 15,
   summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
@@ -166,48 +171,50 @@ def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet) -> np.ndarray:
     return (z @ stacked).reshape(n_samples, n_params, n_params)
 
 
+# The entries above the diagonal of a 5x5 matrix.
+_OFF_ROWS, _OFF_COLS = np.triu_indices(N_PARAMS, 1)
+
+
 def _cholesky_all(
     q_all: np.ndarray,
     message: str = "information matrix for sample {} is not positive definite",
 ) -> np.ndarray:
     """Cholesky factors of a stack of matrices, naming the first failure.
 
-    When the batched factorization fails, the samples are factored one at
-    a time to find the first one that is not positive definite; it is
-    reported by ``message.format(k)`` and in ``sample_index``.
+    ``q_all`` has shape (n_samples, 5, 5).  It is transposed once to
+    (5, 5, n_samples), so that each of its 25 entries is one vector over
+    the samples, and factored column by column with elementwise
+    arithmetic only: column ``j`` of every factor is the current column
+    divided by the square root of its pivot, and its outer product is
+    taken off the trailing block.  Returns ``L`` of shape
+    (5, 5, n_samples), zero above the diagonal, with
+    ``Q_k = L[:, :, k] L[:, :, k]^T``.
+
+    A sample with a pivot that is not positive (NaN included) gets a NaN
+    on its diagonal there, without a floating-point warning, and leaves
+    the other samples alone.  The first such sample is reported by
+    ``message.format(k)`` and in ``sample_index``.
     """
-    try:
-        return np.linalg.cholesky(q_all)
-    except np.linalg.LinAlgError:
-        for k in range(q_all.shape[0]):
-            try:
-                np.linalg.cholesky(q_all[k])
-            except np.linalg.LinAlgError:
-                raise SingularInformationError(message.format(k), sample_index=k) from None
-        raise  # unreachable: the batched failure must have a witness
-
-
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower-triangular matrices, by forward substitution.
-
-    Row ``i`` of ``L^{-1}`` is ``(e_i - sum_{l<i} L[i, l] row_l) / L[i, i]``,
-    evaluated for every matrix of the stack at once.
-    """
-    inv = np.zeros_like(chol)
-    n = chol.shape[-1]
-    for i in range(n):
-        row = np.zeros(chol.shape[:-2] + (n,))
-        row[..., i] = 1.0
-        for l in range(i):
-            row -= chol[..., i, l, None] * inv[..., l, :]
-        inv[..., i, :] = row / chol[..., i, i, None]
-    return inv
+    n = q_all.shape[-1]
+    chol = q_all.transpose(1, 2, 0).copy()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in range(n):
+            column = chol[j:, j]
+            column /= np.sqrt(column[0])
+            if j + 1 < n:
+                below = column[1:]
+                chol[j + 1:, j + 1:] -= below[:, None] * below
+    chol[_OFF_ROWS, _OFF_COLS] = 0.0
+    diagonal = np.diagonal(chol)
+    if not np.min(diagonal) > 0.0:  # NaN compares false
+        k = int(np.argmin(np.all(diagonal > 0.0, axis=1)))
+        raise SingularInformationError(message.format(k), sample_index=k)
+    return chol
 
 
 def _mean_logdet(q_all: np.ndarray) -> float:
     """Mean log-determinant of a stack of positive-definite matrices."""
-    chol = _cholesky_all(q_all)
-    logdets = 2.0 * np.sum(np.log(np.einsum("kii->ki", chol)), axis=1)
+    logdets = 2.0 * np.sum(np.log(np.diagonal(_cholesky_all(q_all))), axis=1)
     return float(np.mean(logdets))
 
 
@@ -254,7 +261,6 @@ SAMPLE_BLOCK = 64
 # A symmetric 5x5 matrix packed as its diagonal, then its upper off-diagonal
 # entries scaled by sqrt(2): the dot product of two packed matrices is
 # their Frobenius inner product.
-_OFF_ROWS, _OFF_COLS = np.triu_indices(N_PARAMS, 1)
 _PACK_ROWS = np.concatenate([np.arange(N_PARAMS), _OFF_ROWS])
 _PACK_COLS = np.concatenate([np.arange(N_PARAMS), _OFF_COLS])
 _PACK_WEIGHTS = np.concatenate([np.ones(N_PARAMS), np.full(_OFF_ROWS.size, np.sqrt(2.0))])
@@ -267,8 +273,10 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     ``W_ki = L_k^{-1} Q_i L_k^{-T}`` give gradient component
     ``-mean_k tr W_ki = -mean_k tr(Q^{-1} Q_i)`` and Hessian entry
     ``mean_k <W_ki, W_kj> = mean_k tr(Q^{-1} Q_i Q^{-1} Q_j)``, a symmetric
-    PSD matrix.  One factorization per sample, inverted by forward
-    substitution (``_lower_inverse``), serves every story.
+    PSD matrix.  One factorization per sample serves every story: the
+    factors come from ``_cholesky_all`` and are inverted by forward
+    substitution on ``L X = I``, column by column over the same (5, 5,
+    n_samples) vectors, so both are elementwise.
 
     Samples are taken in blocks of ``SAMPLE_BLOCK``.  Within a block, two
     batched matmuls whiten the elements (per sample, ``M = 5 n_dof`` and
@@ -282,10 +290,22 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     """
     z = _check_z(z, fimset)
     n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
-    chol_inv = _lower_inverse(_cholesky_all(_assemble_all(z, fimset)))
+    chol = _cholesky_all(_assemble_all(z, fimset))
     # Contiguous right-hand operands: numpy's batched matmul over transposed
-    # views took two to three times as long at 50 stories.
-    chol_inv_t = np.ascontiguousarray(chol_inv.transpose(0, 2, 1))
+    # views took two to three times as long at 50 stories.  Entry (i, j) of
+    # X = L^{-1} is written straight into entry (j, i) of the right-hand
+    # operand X^T of every sample.
+    chol_inv_t = np.zeros((n_samples, n_params, n_params))
+    chol_inv = chol_inv_t.transpose(2, 1, 0)
+    # X_jj = 1 / L_jj and X_ij = -(sum_{j <= l < i} L_il X_lj) / L_ii.
+    for j in range(n_params):
+        np.divide(1.0, chol[j, j], out=chol_inv[j, j])
+        for i in range(j + 1, n_params):
+            acc = chol[i, j] * chol_inv[j, j]
+            for l in range(j + 1, i):
+                acc += chol[i, l] * chol_inv[l, j]
+            np.divide(acc, chol[i, i], out=chol_inv[i, j])
+            np.negative(chol_inv[i, j], out=chol_inv[i, j])
     trace_sum = np.zeros(n_dof)
     hess_sum = np.zeros((n_dof, n_dof))
     for start in range(0, n_samples, SAMPLE_BLOCK):

@@ -8,13 +8,22 @@ backtracking line search.  The barrier schedule is fixed: it starts at
 ``BARRIER_T0``, grows by ``BARRIER_MULTIPLIER`` per stage, and stops once
 the duality-gap estimate and the complementarity residual are both below
 ``TOLERANCE``; ``MAX_OUTER_ITERATIONS`` stages of at most
-``MAX_NEWTON_ITERATIONS`` steps each are allowed.  None of these is
-configurable.  ``certify_or_repair`` turns the relaxed
-optimum into a binary configuration.  It holds every story whose weight
-is within ``AMBIGUITY_THRESHOLD`` of 0 or 1 at that rounded value and
-scores every way of placing the remaining sensors among the ambiguous
-stories in between.  "Certified" means exactly that search was complete;
-it is not a proof of optimality over all C(n, k) configurations.
+``MAX_NEWTON_ITERATIONS`` steps each are allowed.  Only the final stage,
+the first whose duality-gap estimate is below ``TOLERANCE``, sets the
+accuracy: it centers until the complementarity residual is at most half
+of ``TOLERANCE``, while every earlier stage stops once half the squared
+Newton decrement is at most ``INTERMEDIATE_CENTERING``.  None of these is
+configurable.  The Monte-Carlo gradient and Hessian do not depend on the
+barrier parameter, so those at the point where a stage stops serve the
+next stage's first step: a converged solve evaluates them once at the
+start and once after every accepted step.
+
+``certify_or_repair`` turns the relaxed optimum into a binary
+configuration.  It holds every story whose weight is within
+``AMBIGUITY_THRESHOLD`` of 0 or 1 at that rounded value and scores every
+way of placing the remaining sensors among the ambiguous stories in
+between.  "Certified" means exactly that search was complete; it is not a
+proof of optimality over all C(n, k) configurations.
 
 Each Newton system is factored with ``np.linalg.cholesky`` and solved by
 two ``np.linalg.solve`` calls on the triangular factors
@@ -61,7 +70,11 @@ TOLERANCE = 1e-6
 MAX_OUTER_ITERATIONS = 100
 MAX_NEWTON_ITERATIONS = 50
 BARRIER_T0 = 2.0
-BARRIER_MULTIPLIER = 10.0
+BARRIER_MULTIPLIER = 100.0
+# An intermediate stage only has to hand the next one a good start, so it
+# stops centering once half the squared Newton decrement is below this;
+# only the final stage sets the accuracy.
+INTERMEDIATE_CENTERING = 0.1
 
 
 @dataclass(frozen=True)
@@ -204,9 +217,15 @@ def solve_relaxed(
     kkt_residual = math.inf
     converged = False
 
+    # The Monte-Carlo derivatives at z do not depend on t, so those of the
+    # point a stage ends at carry over to the next stage's first step.
+    derivatives = None
     for _outer in range(MAX_OUTER_ITERATIONS):
+        final_stage = m_ineq / t < TOLERANCE
         for _inner in range(MAX_NEWTON_ITERATIONS):
-            grad_h, hess_h = evaluator.gradient_hessian(z)
+            if derivatives is None:
+                derivatives = evaluator.gradient_hessian(z)
+            grad_h, hess_h = derivatives
             grad_phi = -1.0 / z + 1.0 / (1.0 - z)
             hess_phi = 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
             grad_t = t * grad_h + grad_phi
@@ -218,9 +237,10 @@ def solve_relaxed(
             decrement_sq = max(float(-grad_t @ dz), 0.0)
             nu = w / t
 
-            if decrement_sq / 2.0 <= 1e-9 * t:
-                if m_ineq / t >= TOLERANCE:
+            if not final_stage:
+                if decrement_sq / 2.0 <= INTERMEDIATE_CENTERING:
                     break
+            elif decrement_sq / 2.0 <= 1e-9 * t:
                 # Final stage: center until the optimality certificate
                 # itself passes, with a floor guarding against stalling
                 # at the limits of double precision.
@@ -261,6 +281,7 @@ def solve_relaxed(
             # Remove accumulated roundoff in the budget equality.
             z = z + (budget - z.sum()) / n
             h_val = h_trial
+            derivatives = None
             iteration += 1
             trace.append(
                 IterationRecord(
@@ -280,7 +301,7 @@ def solve_relaxed(
             )
 
         # The final stage's centering computed the residual at this z.
-        if m_ineq / t < TOLERANCE and kkt_residual < TOLERANCE:
+        if final_stage and kkt_residual < TOLERANCE:
             converged = True
             break
         t *= BARRIER_MULTIPLIER

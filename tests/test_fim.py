@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,22 +328,51 @@ class TestMcHessian:
         np.testing.assert_allclose(hess, hess_einsum, rtol=1e-14)
 
 
-class TestLowerInverse:
-    def test_matches_linalg_inv(self, four_dof_fimset):
-        rng = np.random.default_rng(18)
-        z = random_feasible_z(rng, 4, 2, mix=0.5)
-        chol = np.linalg.cholesky(fim._assemble_all(z, four_dof_fimset))
-        inverse = fim._lower_inverse(chol)
-        # LU with pivoting leaves rounding noise above the diagonal of the
-        # general inverse; the triangular one is exactly zero there.
-        reference = np.tril(np.linalg.inv(chol))
-        assert np.all(np.triu(inverse, 1) == 0.0)
-        # Below it, entries that cancel are judged against the componentwise
-        # scale |X| |L| |X| of triangular inversion, X = L^{-1}.
-        scale = np.abs(reference) @ np.abs(chol) @ np.abs(reference)
-        lower = np.tril(np.ones((5, 5), dtype=bool))
-        error = np.abs(inverse - reference)[:, lower]
-        assert np.all(error <= 1e-13 * scale[:, lower]), np.max(error / scale[:, lower])
+def _spd_stack(rng, n_samples):
+    """Random positive-definite 5x5 matrices whose scales span six decades."""
+    a = rng.normal(size=(n_samples, 5, 8))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(n_samples, 1, 1))
+    return scale * (a @ a.transpose(0, 2, 1))
+
+
+def _raises_singular(q_all) -> SingularInformationError:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularInformationError) as excinfo:
+            fim._cholesky_all(q_all)
+    return excinfo.value
+
+
+class TestCholeskyAll:
+    @pytest.mark.parametrize("n_samples", [1, 100, 1000])
+    def test_matches_linalg_cholesky(self, n_samples):
+        q_all = _spd_stack(np.random.default_rng(n_samples), n_samples)
+        reference = np.linalg.cholesky(q_all)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chol = fim._cholesky_all(q_all).transpose(2, 0, 1)
+        assert np.all(np.triu(chol, 1) == 0.0)
+        scale = np.max(np.abs(reference), axis=(1, 2), keepdims=True)
+        error = np.abs(chol - reference) / scale
+        assert np.max(error) <= 1e-13, np.max(error)
+
+    @pytest.mark.parametrize("fault", ["singular", "nan"])
+    def test_first_failing_sample_is_the_witness(self, fault):
+        # Sample 37 fails only at the last pivot, sample 60 at the first:
+        # the witness is the lower sample index, not the earlier column.
+        q_all = _spd_stack(np.random.default_rng(19), 100)
+        if fault == "singular":
+            q_all[37, 4, :] = q_all[37, :, 4] = 0.0
+        else:
+            q_all[37, 4, 1] = q_all[37, 1, 4] = np.nan
+        q_all[60, 0, :] = q_all[60, :, 0] = 0.0
+        error = _raises_singular(q_all)
+        assert error.sample_index == 37
+        assert str(error) == "information matrix for sample 37 is not positive definite"
+
+    def test_empty_configuration(self, four_dof_fimset):
+        # Greedy scores the empty configuration first: every sample is zero.
+        assert _raises_singular(fim._assemble_all(np.zeros(4), four_dof_fimset)).sample_index == 0
 
 
 class TestObjectiveShape:

@@ -90,6 +90,18 @@ class TestSolveRelaxed:
         barrier_values = [r.barrier_t for r in sol.trace]
         assert barrier_values == sorted(barrier_values)
 
+    @pytest.mark.parametrize("fimset, budget", [("two_dof_fimset", 1), ("four_dof_fimset", 2)])
+    def test_one_derivative_evaluation_per_point(self, request, fimset, budget):
+        # The start and every accepted step; a stage's last point keeps its
+        # derivatives for the next stage.
+        sol = solve_relaxed(request.getfixturevalue(fimset), budget)
+        assert sol.converged
+        assert sol.gradient_evaluations == sol.iterations + 1
+
+    def test_newton_step_ceiling(self, four_dof_fimset):
+        # 21 steps; a x10 schedule centering every stage to 1e-9 t takes 53.
+        assert solve_relaxed(four_dof_fimset, 2).iterations <= 26
+
     def test_nonconvergence_diagnostic(self, four_dof_fimset, monkeypatch):
         monkeypatch.setattr(solver, "MAX_OUTER_ITERATIONS", 2)
         monkeypatch.setattr(solver, "TOLERANCE", 1e-12)
