@@ -1,8 +1,8 @@
 """The headline study: 20 sensors on a 50-story building.
 
 An exhaustive search over the roughly 47 trillion possible configurations
-is out of the question; the relaxed convex solve takes 45 objective
-evaluations and the repair of its rounding 126 more, 171 in all.  Runs the
+is out of the question; the relaxed convex solve takes 32 objective
+evaluations and the repair of its rounding 126 more, 158 in all.  Runs the
 packaged pipeline and writes the full report artifacts to
 ``runs/fifty-story-demo/`` (runtime is about 4.4 s on a 2-core machine).
 ``runs/fifty-story/`` holds the committed reference report for this

@@ -17,7 +17,6 @@ from .building import (
     SystemParameters,
     TimeGrid,
     UnsupportedDampingError,
-    build_model,
     build_uniform_shear_model,
     modal_constants,
     modal_response,
@@ -42,7 +41,6 @@ from .fim import (
 from .solver import (
     ConvergenceError,
     certify_or_repair,
-    kkt_certificate,
     solve_relaxed,
 )
 from .baselines import compare, exhaustive, fixed_configs, greedy_forward

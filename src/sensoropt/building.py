@@ -19,9 +19,7 @@ name        meaning
 ==========  =====================================================
 
 The uniform building's mode shapes and frequencies are known in closed
-form (``build_uniform_shear_model``); a general pattern pair is reduced
-to a standard symmetric eigenproblem with numpy's LAPACK bindings
-(``build_model``).
+form (``build_uniform_shear_model``), so no eigensolver runs.
 
 The sensitivities come in two passes.  ``sensitivity_coefficients``
 takes a block of parameter rows, shape (B, 5), and forms the modal
@@ -54,8 +52,6 @@ import numpy as np
 
 PARAMETER_NAMES = ("omega0", "alpha", "beta", "omega", "a0")
 N_PARAMS = len(PARAMETER_NAMES)
-
-_EIG_RTOL = 1e-10
 
 
 class UnsupportedDampingError(ValueError):
@@ -140,41 +136,6 @@ class ShearBuildingModel:
     modal_stiffnesses: np.ndarray
 
 
-def _canonicalize_signs(vecs: np.ndarray) -> np.ndarray:
-    lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
-    return vecs * signs
-
-
-def _finalize_model(mass, stiffness, evals, vecs) -> ShearBuildingModel:
-    order = np.argsort(evals)
-    evals = evals[order]
-    vecs = vecs[:, order]
-    vecs = vecs / np.linalg.norm(vecs, axis=0)
-    vecs = _canonicalize_signs(vecs)
-
-    if np.any(evals <= 0) or np.any(np.diff(evals) <= 0):
-        raise ValueError("pattern matrices must yield positive, distinct eigenvalues")
-    residual = stiffness @ vecs - mass @ vecs * evals
-    scale = np.linalg.norm(stiffness @ vecs, axis=0)
-    if np.any(np.linalg.norm(residual, axis=0) > _EIG_RTOL * scale):
-        raise ValueError("eigendecomposition residual too large; check input matrices")
-
-    mu = np.einsum("ji,jk,ki->i", vecs, mass, vecs)
-    kappa = np.einsum("ji,jk,ki->i", vecs, stiffness, vecs)
-    for arr in (mass, stiffness, evals, vecs, mu, kappa):
-        arr.setflags(write=False)
-    return ShearBuildingModel(
-        n_dof=mass.shape[0],
-        mass_pattern=mass,
-        stiffness_pattern=stiffness,
-        eigenvalues=evals,
-        eigenvectors=vecs,
-        modal_masses=mu,
-        modal_stiffnesses=kappa,
-    )
-
-
 def build_uniform_shear_model(n_dof: int) -> ShearBuildingModel:
     """Build the uniform shear building with identity mass pattern.
 
@@ -214,32 +175,27 @@ def build_uniform_shear_model(n_dof: int) -> ShearBuildingModel:
         evals = 4.0 * np.sin(odd * (np.pi / period)) ** 2
         multiples = np.multiply.outer(np.arange(1, n_dof + 1), odd) % period
         vecs = np.sin(multiples * (2.0 * np.pi / period))
-    return _finalize_model(mass, stiffness, evals, vecs)
+    # Unit columns, each signed so that its largest-magnitude entry is
+    # positive.  The columns are contiguous, which fixes the summation order
+    # of their norms and the layout that every later contraction reads.
+    vecs = np.asfortranarray(vecs)
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs = vecs * np.sign(vecs[lead, np.arange(n_dof)])
 
-
-def build_model(mass_pattern, stiffness_pattern) -> ShearBuildingModel:
-    """Build a model from general SPD mass/stiffness pattern matrices.
-
-    The generalized symmetric eigenproblem ``K v = lambda M v`` is reduced
-    through the Cholesky factor ``M = L L^T`` to the standard problem of
-    ``L^{-1} K L^{-T}``, whose eigenvectors ``y`` give ``v = L^{-T} y``.
-    """
-    mass = np.array(mass_pattern, dtype=float)
-    stiffness = np.array(stiffness_pattern, dtype=float)
-    if mass.ndim != 2 or mass.shape[0] != mass.shape[1]:
-        raise ValueError(f"mass pattern must be square, got shape {mass.shape}")
-    if stiffness.shape != mass.shape:
-        raise ValueError(
-            f"shape mismatch: mass {mass.shape}, stiffness {stiffness.shape}"
-        )
-    for name, arr in (("mass", mass), ("stiffness", stiffness)):
-        if not np.allclose(arr, arr.T, rtol=0, atol=1e-12 * np.abs(arr).max()):
-            raise ValueError(f"{name} pattern must be symmetric")
-    chol = np.linalg.cholesky(mass)
-    reduced = np.linalg.solve(chol, np.linalg.solve(chol, stiffness).T)
-    evals, reduced_vecs = np.linalg.eigh(reduced)
-    vecs = np.linalg.solve(chol.T, reduced_vecs)
-    return _finalize_model(mass, stiffness, evals, vecs)
+    mu = np.einsum("ji,jk,ki->i", vecs, mass, vecs)
+    kappa = np.einsum("ji,jk,ki->i", vecs, stiffness, vecs)
+    for arr in (mass, stiffness, evals, vecs, mu, kappa):
+        arr.setflags(write=False)
+    return ShearBuildingModel(
+        n_dof=n_dof,
+        mass_pattern=mass,
+        stiffness_pattern=stiffness,
+        eigenvalues=evals,
+        eigenvectors=vecs,
+        modal_masses=mu,
+        modal_stiffnesses=kappa,
+    )
 
 
 def _as_times(times) -> np.ndarray:

@@ -8,7 +8,6 @@ from sensoropt import (
     SystemParameters,
     TimeGrid,
     UnsupportedDampingError,
-    build_model,
     build_uniform_shear_model,
     default_prior,
     modal_constants,
@@ -99,23 +98,6 @@ class TestBuildUniformShearModel:
         vecs = vecs / np.linalg.norm(vecs, axis=0)
         signs = np.sign(np.sum(vecs * model.eigenvectors, axis=0))
         np.testing.assert_allclose(model.eigenvectors, vecs * signs, rtol=0, atol=1e-12)
-
-    def test_general_builder_matches_uniform(self):
-        uniform = build_uniform_shear_model(5)
-        general = build_model(uniform.mass_pattern, uniform.stiffness_pattern)
-        np.testing.assert_allclose(general.eigenvalues, uniform.eigenvalues, rtol=1e-12)
-        np.testing.assert_allclose(
-            np.abs(general.eigenvectors), np.abs(uniform.eigenvectors), atol=1e-10
-        )
-
-    def test_general_builder_spd_mass(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(4, 4))
-        mass = a @ a.T + 4 * np.eye(4)
-        model = build_model(mass, build_uniform_shear_model(4).stiffness_pattern)
-        gram = model.eigenvectors.T @ mass @ model.eigenvectors
-        off = gram - np.diag(np.diag(gram))
-        assert np.max(np.abs(off)) <= 1e-10 * np.max(np.abs(np.diag(gram)))
 
 
 class TestModalResponse:

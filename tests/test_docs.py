@@ -1,4 +1,4 @@
-"""The README's configuration schema and the short demos stay runnable."""
+"""The README's schema and headline counts stay true, and the demos runnable."""
 
 import dataclasses
 import json
@@ -23,6 +23,28 @@ def test_readme_schema_block_validates():
     validate_config(raw)
     # Every top-level field is documented.
     assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_readme_headline_counts_match_the_committed_run():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    words = (
+        r"with (\d+) objective evaluations, .*?: (\d+) in the interior-point solve"
+        r" and (\d+) in the repair, which enumerates the (\d+) ambiguous stories"
+    )
+    match = re.search(words.replace(" ", r"\s+"), readme, re.S)
+    assert match, "README's headline sentence is missing"
+    total, solve, repair, ambiguous = map(int, match.groups())
+    report = json.loads(
+        (ROOT / "runs" / "fifty-story" / "report.json").read_text(encoding="utf-8")
+    )
+    optimal = next(r for r in report["comparison"]["rows"] if r["label"] == "optimal")
+    placement = report["placement"]
+    assert (total, solve, repair, ambiguous) == (
+        optimal["n_evaluations"],
+        report["relaxed"]["objective_evaluations"],
+        placement["objective_evaluations"],
+        len(placement["ambiguous_stories"]),
+    )
 
 
 @pytest.mark.parametrize(
