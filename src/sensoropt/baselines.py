@@ -30,7 +30,6 @@ class GreedyResult:
     objective_value: float
     n_evaluations: int
     picks: tuple[int, ...]  # story indices in placement order, 1-based
-    regularized: bool  # a candidate needed the ridge fallback
 
 
 @dataclass
@@ -71,10 +70,11 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     to the lower story.  The evaluation counter therefore totals
     ``budget * (2 * n_dof - budget)`` kernel calls.
 
-    The empty starting configuration is scored through a ridge fallback,
-    a constant that cancels out of every within-round comparison.  A ridge
-    fallback on a *candidate* configuration marks the result as
-    regularized; its final value is then recomputed without the ridge.
+    A configuration that is singular in some sample, such as the empty
+    starting one, is scored through a ridge fallback (``eps * I`` added to
+    every sample's matrix).  The empty configuration's ridge value is a
+    constant that cancels out of every round-1 comparison.  The final
+    value is recomputed without the ridge.
     """
     n = fimset.n_dof
     if not 1 <= budget <= n:
@@ -82,17 +82,16 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     evaluator = CountingEvaluator(fimset)
     eps = regularization_scale(fimset)
 
-    def value_of(delta: np.ndarray) -> tuple[float, bool]:
+    def value_of(delta: np.ndarray) -> float:
         try:
-            return -evaluator.objective(delta.astype(float)), False
+            return -evaluator.objective(delta.astype(float))
         except SingularInformationError:
-            return -evaluator.objective_regularized(delta.astype(float), eps), True
+            return -evaluator.objective_regularized(delta.astype(float), eps)
 
     delta = np.zeros(n, dtype=int)
     # Value of the empty configuration under the ridge, by definition
     # rather than evaluation: every sample contributes log det(eps * I).
     base_value = fimset.n_params * math.log(eps)
-    regularized = False
     picks: list[int] = []
     for _round in range(budget):
         best_gain = -math.inf
@@ -103,12 +102,11 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
             if delta[i]:
                 continue
             if not first:
-                base_value, _ = value_of(delta)
+                base_value = value_of(delta)
             first = False
             delta[i] = 1
-            cand_value, cand_reg = value_of(delta)
+            cand_value = value_of(delta)
             delta[i] = 0
-            regularized = regularized or cand_reg
             gain = cand_value - base_value
             if gain > best_gain:
                 best_gain = gain
@@ -124,7 +122,6 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
         objective_value=final_value,
         n_evaluations=evaluator.n_objective,
         picks=tuple(picks),
-        regularized=regularized,
     )
 
 

@@ -359,11 +359,16 @@ def _time_bases(rate: np.ndarray, w: float, times, buffers: SensitivityBuffers) 
     t = _as_times(times)
     damped = _damped_bases(rate, times, buffers.damped)
     bases = buffers.bases
-    bases[:, 0] = damped.imag
-    bases[:, 1] = damped.real
-    bases[:, 2] = np.sin(w * t)
-    bases[:, 3] = np.cos(w * t)
-    np.multiply(bases[:, :4], t, out=bases[:, 4:])
+    # Bases 4 to 7 are written from sources outside ``bases``: reading
+    # ``bases[:, :4]`` into ``bases[:, 4:]`` of the same buffer would make
+    # numpy copy its input first.
+    for b, source in enumerate((damped.imag, damped.real)):
+        bases[:, b] = source
+        np.multiply(source, t, out=bases[:, b + 4])
+    # The forcing bases are one row each, broadcast over the modes.
+    for b, source in enumerate((np.sin(w * t), np.cos(w * t)), start=2):
+        bases[:, b] = source
+        bases[:, b + 4] = source * t
     return bases
 
 

@@ -24,13 +24,17 @@ steps (README, "Determinism").
   (``M = K = n_dof``).  Each sample's coefficients are the same bits in
   any block, so the result does not depend on ``ROWS``.
 - ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
-  the Newton step need it, with one batched matmul over stories
-  (``K = n_dof`` within each sample).
-- ``_cholesky_all`` factors every sample's ``Q(z)``, for the objective's
-  log-determinant, the Newton step's whitening and the preflight check,
-  and the Newton step inverts the factors.  Both treat each of the 25
-  entries as one vector over the samples and use elementwise arithmetic
-  only, so no BLAS or LAPACK call and no thread count enters.
+  the Newton step need it, with one gemv over stories: ``z`` times the
+  set's entry-major copy ``entries`` of shape (n_dof, 25 n_samples), so
+  that each output entry is one sum of ``K = n_dof`` products and the
+  result is already the (5, 5, n_samples) stack the factor works on.
+  Each set assembles into one stack of its own, allocated once.
+- ``_cholesky_all`` factors every sample's ``Q(z)`` in place, for the
+  objective's log-determinant, the Newton step's whitening and the
+  preflight check, and the Newton step inverts the factors.  Both treat
+  each of the 25 entries as one vector over the samples and use
+  elementwise arithmetic only, so no BLAS or LAPACK call and no thread
+  count enters.
 - The Newton step's gradient and Hessian (``mc_gradient_hessian``) come
   from per-sample batched matmuls with an inner dimension of at most 15,
   summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
@@ -44,7 +48,7 @@ step's fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,6 +76,84 @@ class SingularInformationError(RuntimeError):
         self.label = label
 
 
+# The entries above the diagonal of a 5x5 matrix.
+_OFF_ROWS, _OFF_COLS = np.triu_indices(N_PARAMS, 1)
+
+_NOT_PD = "information matrix for sample {} is not positive definite"
+
+
+class _StackFactor:
+    """An entry-major stack of 5x5 matrices, factored in place.
+
+    ``stack`` has shape (5, 5, n_samples): each of the 25 entries is one
+    vector over the samples.  The views of it that each column of the
+    factor works on, and the factor's temporaries, are made here once, so
+    that ``factor`` and ``mean_logdet`` allocate no array data.
+    """
+
+    def __init__(self, stack: np.ndarray):
+        n, _, n_samples = stack.shape
+        self.stack = stack
+        # ``_assemble_all`` writes into this view; every stack here is C-contiguous.
+        self.flat = stack.reshape(-1)
+        self.diagonal = np.einsum("ppk->kp", stack)  # (n_samples, 5), a writable view
+        self.pivot = np.empty(n_samples)
+        update = np.empty((n - 1, n - 1, n_samples))
+        self.columns = []
+        for j in range(n):
+            column = stack[j:, j]
+            below = column[1:]
+            m = n - 1 - j
+            self.columns.append(
+                (column, below[:, None], below, stack[j + 1:, j + 1:], update[:m, :m])
+            )
+        # The log-diagonal in the layout numpy gives np.log of ``diagonal``,
+        # so that the per-sample sums add in the same order as that would.
+        self.logs = np.empty((n, n_samples)).T
+        self.logdets = np.empty(n_samples)
+
+    def factor(self, message: str = _NOT_PD) -> np.ndarray:
+        """Overwrite the lower triangle of ``stack`` with its Cholesky factors.
+
+        Column by column with elementwise arithmetic only: column ``j`` of
+        every factor is the current column divided by the square root of
+        its pivot, and its outer product is taken off the trailing block.
+        Afterwards ``Q_k = L_k L_k^T`` with ``L_k`` the lower triangle of
+        ``stack[:, :, k]``; the entries above the diagonal are left over
+        and are not read.
+
+        A sample with a pivot that is not positive (NaN included) gets a
+        NaN on its diagonal there, without a floating-point warning, and
+        leaves the other samples alone.  The first such sample is reported
+        by ``message.format(k)`` and in ``sample_index``.
+        """
+        pivot = self.pivot
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for column, below_col, below, trailing, update in self.columns:
+                np.sqrt(column[0], out=pivot)
+                np.divide(column, pivot, out=column)
+                if below.size:
+                    np.multiply(below_col, below, out=update)
+                    np.subtract(trailing, update, out=trailing)
+        diagonal = self.diagonal
+        if not np.minimum.reduce(diagonal, axis=None) > 0.0:  # NaN compares false
+            k = int(np.argmin(np.all(diagonal > 0.0, axis=1)))
+            raise SingularInformationError(message.format(k), sample_index=k)
+        return self.stack
+
+    def mean_logdet(self) -> float:
+        """Mean log-determinant of the positive-definite matrices in ``stack``.
+
+        Factors the stack first.  ``sum_p log L_pp`` per sample, then the
+        sum over samples in fixed order; the factor 2 is applied to that
+        sum, where it is exact.
+        """
+        self.factor()
+        np.log(self.diagonal, out=self.logs)
+        np.add.reduce(self.logs, axis=1, out=self.logdets)
+        return 2.0 * float(np.add.reduce(self.logdets)) / self.logdets.size
+
+
 @dataclass(frozen=True)
 class ElementaryFimSet:
     """Per-sample, per-story elementary information matrices.
@@ -80,9 +162,37 @@ class ElementaryFimSet:
     the symmetric PSD contribution of a sensor at story ``i`` under prior
     sample ``k``.  Pure precomputation: nothing downstream recomputes
     sensitivities.
+
+    ``entries`` is derived from it: a read-only entry-major copy of shape
+    (n_dof, 25 n_samples), with ``entries[i, (5 p + q) n_samples + k] =
+    matrices[k, i, p, q]``, so that ``z @ entries`` is the (5, 5,
+    n_samples) stack of ``Q(z)`` that the factor works on.  Each set also
+    owns one such stack with its factor's temporaries, and every
+    objective call and Newton step on the set reuses it: calls on one
+    set are not thread-safe.
     """
 
     matrices: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
+    _work: _StackFactor = field(init=False, repr=False, compare=False)
+    _inverse_t: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n_samples, n_dof, n_params, _ = self.matrices.shape
+        entries = self.matrices.transpose(1, 2, 3, 0).copy().reshape(n_dof, -1)
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(
+            self, "_work", _StackFactor(np.empty((n_params, n_params, n_samples)))
+        )
+        # The Newton step's inverse factors, transposed: only the entries
+        # on and above the diagonal are ever written, so the rest stay zero.
+        object.__setattr__(self, "_inverse_t", np.zeros((n_samples, n_params, n_params)))
+
+    def __reduce__(self):
+        # Copies and pickles are built afresh from the matrices: a copied
+        # stack would not share memory with copies of its views.
+        return ElementaryFimSet, (self.matrices,)
 
     @property
     def n_samples(self) -> int:
@@ -158,64 +268,29 @@ def check_sensor_vector(z, n_dof: int, budget: int | None = None,
     return z
 
 
-def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet) -> np.ndarray:
-    """Information matrices ``Q(z) = sum_i z_i Q_i`` of every sample, shape (n_samples, 5, 5).
+def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet, out=None) -> np.ndarray:
+    """Information matrices ``Q(z) = sum_i z_i Q_i`` of every sample, shape (5, 5, n_samples).
 
-    One batched matmul over stories, ``z @ (n_samples, n_dof, 25)``: per
-    sample, each entry is one sum of ``K = n_dof`` products.  Why that is
-    thread-invariant is in the module docstring; the non-BLAS
-    ``np.einsum("i,kipq->kpq", z, fimset.matrices)`` is the fallback.
+    One gemv over stories, ``z @ entries`` with ``entries`` of shape
+    (n_dof, 25 n_samples): each output entry is one sum of ``K = n_dof``
+    products.  Written into ``out`` (shape (25 n_samples,)) when given.
+    Why that is thread-invariant is in the module docstring; the
+    non-BLAS ``np.einsum("i,kipq->pqk", z, fimset.matrices)`` is the
+    fallback.
     """
-    n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
-    stacked = fimset.matrices.reshape(n_samples, n_dof, n_params * n_params)
-    return (z @ stacked).reshape(n_samples, n_params, n_params)
+    n_params = fimset.n_params
+    flat = np.matmul(z, fimset.entries, out=out)
+    return flat.reshape(n_params, n_params, fimset.n_samples)
 
 
-# The entries above the diagonal of a 5x5 matrix.
-_OFF_ROWS, _OFF_COLS = np.triu_indices(N_PARAMS, 1)
+def _cholesky_all(stack: np.ndarray, message: str = _NOT_PD) -> np.ndarray:
+    """Cholesky factors of an entry-major (5, 5, n_samples) stack, in place.
 
-
-def _cholesky_all(
-    q_all: np.ndarray,
-    message: str = "information matrix for sample {} is not positive definite",
-) -> np.ndarray:
-    """Cholesky factors of a stack of matrices, naming the first failure.
-
-    ``q_all`` has shape (n_samples, 5, 5).  It is transposed once to
-    (5, 5, n_samples), so that each of its 25 entries is one vector over
-    the samples, and factored column by column with elementwise
-    arithmetic only: column ``j`` of every factor is the current column
-    divided by the square root of its pivot, and its outer product is
-    taken off the trailing block.  Returns ``L`` of shape
-    (5, 5, n_samples), zero above the diagonal, with
-    ``Q_k = L[:, :, k] L[:, :, k]^T``.
-
-    A sample with a pivot that is not positive (NaN included) gets a NaN
-    on its diagonal there, without a floating-point warning, and leaves
-    the other samples alone.  The first such sample is reported by
-    ``message.format(k)`` and in ``sample_index``.
+    See ``_StackFactor.factor``: returns ``stack``, whose lower triangle
+    then holds the factors, and raises ``SingularInformationError`` naming
+    the first sample that is not positive definite.
     """
-    n = q_all.shape[-1]
-    chol = q_all.transpose(1, 2, 0).copy()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(n):
-            column = chol[j:, j]
-            column /= np.sqrt(column[0])
-            if j + 1 < n:
-                below = column[1:]
-                chol[j + 1:, j + 1:] -= below[:, None] * below
-    chol[_OFF_ROWS, _OFF_COLS] = 0.0
-    diagonal = np.diagonal(chol)
-    if not np.min(diagonal) > 0.0:  # NaN compares false
-        k = int(np.argmin(np.all(diagonal > 0.0, axis=1)))
-        raise SingularInformationError(message.format(k), sample_index=k)
-    return chol
-
-
-def _mean_logdet(q_all: np.ndarray) -> float:
-    """Mean log-determinant of a stack of positive-definite matrices."""
-    logdets = 2.0 * np.sum(np.log(np.diagonal(_cholesky_all(q_all))), axis=1)
-    return float(np.mean(logdets))
+    return _StackFactor(stack).factor(message)
 
 
 def _check_z(z, fimset: ElementaryFimSet) -> np.ndarray:
@@ -230,10 +305,14 @@ def mc_objective(z, fimset: ElementaryFimSet) -> float:
 
     Lower is better; the reported "objective value" elsewhere is the
     negation of this.  Deterministic for a given (z, sample set): the
-    per-sample terms are reduced in fixed sample order.
+    per-sample terms are reduced in fixed sample order.  ``Q(z)`` is
+    assembled into the set's own stack and factored there, so calls on
+    one set are not thread-safe.
     """
     z = _check_z(z, fimset)
-    return -_mean_logdet(_assemble_all(z, fimset))
+    work = fimset._work
+    _assemble_all(z, fimset, out=work.flat)
+    return -work.mean_logdet()
 
 
 def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
@@ -243,7 +322,10 @@ def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
     only as a documented fallback for degenerate configurations.
     """
     z = _check_z(z, fimset)
-    return -_mean_logdet(_assemble_all(z, fimset) + eps * np.eye(fimset.n_params))
+    work = fimset._work
+    _assemble_all(z, fimset, out=work.flat)
+    work.diagonal += eps
+    return -work.mean_logdet()
 
 
 def regularization_scale(fimset: ElementaryFimSet) -> float:
@@ -274,9 +356,10 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     ``-mean_k tr W_ki = -mean_k tr(Q^{-1} Q_i)`` and Hessian entry
     ``mean_k <W_ki, W_kj> = mean_k tr(Q^{-1} Q_i Q^{-1} Q_j)``, a symmetric
     PSD matrix.  One factorization per sample serves every story: the
-    factors come from ``_cholesky_all`` and are inverted by forward
-    substitution on ``L X = I``, column by column over the same (5, 5,
-    n_samples) vectors, so both are elementwise.
+    factors are taken in place in the set's stack, as the objective takes
+    them, and are inverted by forward substitution on ``L X = I``, column
+    by column over the same (5, 5, n_samples) vectors, so both are
+    elementwise.  The inverses go into a second stack the set keeps.
 
     Samples are taken in blocks of ``SAMPLE_BLOCK``.  Within a block, two
     batched matmuls whiten the elements (per sample, ``M = 5 n_dof`` and
@@ -290,12 +373,14 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     """
     z = _check_z(z, fimset)
     n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
-    chol = _cholesky_all(_assemble_all(z, fimset))
+    work = fimset._work
+    _assemble_all(z, fimset, out=work.flat)
+    chol = work.factor()
     # Contiguous right-hand operands: numpy's batched matmul over transposed
     # views took two to three times as long at 50 stories.  Entry (i, j) of
     # X = L^{-1} is written straight into entry (j, i) of the right-hand
     # operand X^T of every sample.
-    chol_inv_t = np.zeros((n_samples, n_params, n_params))
+    chol_inv_t = fimset._inverse_t
     chol_inv = chol_inv_t.transpose(2, 1, 0)
     # X_jj = 1 / L_jj and X_ij = -(sum_{j <= l < i} L_il X_lj) / L_ii.
     for j in range(n_params):
@@ -329,8 +414,9 @@ def preflight_check(fimset: ElementaryFimSet) -> None:
     Verifies that the story-averaged matrix is positive definite for every
     sample; interior placement vectors then always yield PD matrices.
     """
+    n_params = fimset.n_params
     _cholesky_all(
-        np.mean(fimset.matrices, axis=1),
+        np.mean(fimset.entries, axis=0).reshape(n_params, n_params, fimset.n_samples),
         "sample {} is degenerate: its full-support information matrix is not "
         "positive definite",
     )

@@ -5,6 +5,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from sensoropt import (
     PARAMETER_NAMES,
+    building,
     SystemParameters,
     TimeGrid,
     UnsupportedDampingError,
@@ -305,6 +306,25 @@ class TestResponseSensitivities:
                     on_array = fn(model, theta, grid.times)
                     error = np.max(np.abs(fn(model, theta, grid) - on_array), axis=axes)
                     assert np.all(error <= 1e-13 * scale), (fn.__name__, n_steps, k, error / scale)
+
+    @pytest.mark.parametrize("n_dof", [1, 50])
+    def test_time_bases_match_their_formula(self, n_dof):
+        # Bases 4 to 7 are t times bases 0 to 3, bit for bit, however they
+        # are written; also on an arbitrary time array.
+        model = build_uniform_shear_model(n_dof)
+        theta = sample_prior(default_prior(), 1, seed=4).values
+        rate = building.sensitivity_coefficients(model, theta).rate[0]
+        w = theta[0, 3]
+        for times in (TimeGrid(1000, 0.01), np.array([0.0, 0.3, 2.5, 7.0])):
+            t = times.times if isinstance(times, TimeGrid) else times
+            buffers = building.sensitivity_buffers(n_dof, times)
+            damped = building._damped_bases(rate, times, np.empty_like(buffers.damped))
+            bases = building._time_bases(rate, w, times, buffers)
+            assert np.array_equal(bases[:, 0], damped.imag)
+            assert np.array_equal(bases[:, 1], damped.real)
+            assert np.all(bases[:, 2] == np.sin(w * t))
+            assert np.all(bases[:, 3] == np.cos(w * t))
+            assert np.array_equal(bases[:, 4:], bases[:, :4] * t)
 
     def test_entries_finite_and_shaped(self):
         model = build_uniform_shear_model(4)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -178,7 +180,7 @@ class TestAssembleQ:
         rng = np.random.default_rng(0)
         elems = rng.normal(size=(3, 5, 5))
         fimset = _fimset_from([elems])
-        np.testing.assert_array_equal(fim._assemble_all(np.eye(3)[1], fimset)[0], elems[1])
+        np.testing.assert_array_equal(fim._assemble_all(np.eye(3)[1], fimset)[:, :, 0], elems[1])
 
     def test_linearity_midpoint(self):
         rng = np.random.default_rng(1)
@@ -335,11 +337,16 @@ def _spd_stack(rng, n_samples):
     return scale * (a @ a.transpose(0, 2, 1))
 
 
-def _raises_singular(q_all) -> SingularInformationError:
+def _entry_major(q_all) -> np.ndarray:
+    """A (n_samples, 5, 5) stack as the (5, 5, n_samples) stack ``_cholesky_all`` factors."""
+    return q_all.transpose(1, 2, 0).copy()
+
+
+def _raises_singular(stack) -> SingularInformationError:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularInformationError) as excinfo:
-            fim._cholesky_all(q_all)
+            fim._cholesky_all(stack)
     return excinfo.value
 
 
@@ -348,10 +355,13 @@ class TestCholeskyAll:
     def test_matches_linalg_cholesky(self, n_samples):
         q_all = _spd_stack(np.random.default_rng(n_samples), n_samples)
         reference = np.linalg.cholesky(q_all)
+        stack = _entry_major(q_all)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            chol = fim._cholesky_all(q_all).transpose(2, 0, 1)
-        assert np.all(np.triu(chol, 1) == 0.0)
+            factored = fim._cholesky_all(stack)
+        # Factored in place; only the lower triangle is the factor.
+        assert factored is stack
+        chol = np.tril(stack.transpose(2, 0, 1))
         scale = np.max(np.abs(reference), axis=(1, 2), keepdims=True)
         error = np.abs(chol - reference) / scale
         assert np.max(error) <= 1e-13, np.max(error)
@@ -366,13 +376,70 @@ class TestCholeskyAll:
         else:
             q_all[37, 4, 1] = q_all[37, 1, 4] = np.nan
         q_all[60, 0, :] = q_all[60, :, 0] = 0.0
-        error = _raises_singular(q_all)
+        error = _raises_singular(_entry_major(q_all))
         assert error.sample_index == 37
         assert str(error) == "information matrix for sample 37 is not positive definite"
 
     def test_empty_configuration(self, four_dof_fimset):
         # Greedy scores the empty configuration first: every sample is zero.
         assert _raises_singular(fim._assemble_all(np.zeros(4), four_dof_fimset)).sample_index == 0
+
+
+class TestSetStack:
+    # Each set keeps an entry-major copy of its matrices and one stack that
+    # every objective call and Newton step on it overwrites.
+    def test_entries_are_a_read_only_entry_major_copy(self, four_dof_fimset):
+        built = _fimset_from(np.random.default_rng(20).normal(size=(7, 3, 5, 5)))
+        for fimset in (four_dof_fimset, built):
+            n_samples, n_dof = fimset.n_samples, fimset.n_dof
+            entries = fimset.entries
+            assert entries.shape == (n_dof, 25 * n_samples)
+            assert not entries.flags.writeable
+            assert not np.shares_memory(entries, fimset.matrices)
+            np.testing.assert_array_equal(
+                entries.reshape(n_dof, 5, 5, n_samples), fimset.matrices.transpose(1, 2, 3, 0)
+            )
+
+    def test_reused_stack_gives_the_bits_of_a_fresh_set(self, four_dof_fimset):
+        # Calls on two sets interleave, and each follows a failed call on
+        # the same set; every result must be that of a set never used.
+        other = ElementaryFimSet(matrices=four_dof_fimset.matrices[:37, ::-1])
+        rng = np.random.default_rng(21)
+        eps = fim.regularization_scale(four_dof_fimset)
+        for _ in range(3):
+            for fimset in (four_dof_fimset, other):
+                z = random_feasible_z(rng, 4, 2, mix=0.5)
+                fresh = ElementaryFimSet(matrices=fimset.matrices)
+                with pytest.raises(SingularInformationError):
+                    mc_objective(np.zeros(4), fimset)
+                assert mc_objective(z, fimset) == mc_objective(z, fresh)
+                for ours, theirs in zip(
+                    mc_gradient_hessian(z, fimset), mc_gradient_hessian(z, fresh)
+                ):
+                    assert np.array_equal(ours, theirs)
+                assert fim.mc_objective_regularized(z, fimset, eps) == (
+                    fim.mc_objective_regularized(z, ElementaryFimSet(matrices=fimset.matrices), eps)
+                )
+
+    def test_copies_get_a_stack_of_their_own(self, four_dof_fimset):
+        mc_objective(np.full(4, 0.5), four_dof_fimset)
+        z = random_feasible_z(np.random.default_rng(23), 4, 2, mix=0.5)
+        expected = mc_objective(z, ElementaryFimSet(matrices=four_dof_fimset.matrices))
+        for copied in (copy.copy(four_dof_fimset), copy.deepcopy(four_dof_fimset),
+                       pickle.loads(pickle.dumps(four_dof_fimset))):
+            assert mc_objective(z, copied) == expected
+
+    def test_regularized_is_the_objective_of_the_ridged_matrices(self, four_dof_fimset):
+        # Q(z) + eps I is Q of the set with one more story, eps I, at weight 1.
+        matrices = four_dof_fimset.matrices
+        eps = 1e-3 * float(np.mean(np.einsum("kipp->ki", matrices)))
+        ridge = np.broadcast_to(eps * np.eye(5), (matrices.shape[0], 1, 5, 5))
+        ridged = ElementaryFimSet(matrices=np.concatenate([matrices, ridge], axis=1))
+        rng = np.random.default_rng(22)
+        for z in (np.zeros(4), np.eye(4)[2], random_feasible_z(rng, 4, 2, mix=0.5)):
+            expected = mc_objective(np.append(z, 1.0), ridged)
+            value = fim.mc_objective_regularized(z, four_dof_fimset, eps)
+            assert value == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
 class TestObjectiveShape:

@@ -2,8 +2,8 @@
 
 ``response_sensitivities`` forms the modal derivatives with one batched
 matmul over modes and maps them to stories with one gemm
-(``np.dot``); ``mc_objective`` assembles ``Q(z)`` with one batched
-matmul over stories; ``mc_gradient_hessian`` whitens the elementary
+(``np.dot``); ``mc_objective`` assembles ``Q(z)`` with one gemv over
+stories; ``mc_gradient_hessian`` whitens the elementary
 matrices and forms the Hessian terms with per-sample batched matmuls; and
 the solver factors and solves each Newton system with LAPACK.
 OpenBLAS does not promise the same bits at every thread count, so fresh
@@ -95,6 +95,20 @@ for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
 # The narrower omega0 prior keeps every mode underdamped at 80 stories.
 tall_prior = dataclasses.replace(default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15))
 sets[80] = compute_elementary_set(build_uniform_shear_model(80), sample_prior(tall_prior, 10, 2), grid)
+
+# The assembly gemv has 25 n_samples outputs, so its split between threads
+# changes with the sample count: the paper's 50 x 1000 and the tall
+# building's 80 x 100.  The split depends on the shape only, so the sets
+# repeat the samples above instead of computing more.
+for n_dof, n_samples in ((50, 1000), (80, 100)):
+    matrices = sets[n_dof].matrices
+    fimset = ElementaryFimSet(matrices=np.resize(matrices, (n_samples,) + matrices.shape[1:]))
+    binary = (np.arange(n_dof) % 2 == 1).astype(float)
+    interior = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
+    for kind, weights in (("binary", binary), ("interior", interior)):
+        digests[f"objective, {n_dof} stories x {n_samples} samples, {kind} z"] = digest(
+            mc_objective(weights, fimset)
+        )
 for n_dof in (4, 50, 80):
     # The barrier Newton system of solve_relaxed at t = 10.
     z = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
@@ -124,7 +138,7 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 15
+    assert len(reference) == 19
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
@@ -171,10 +185,10 @@ def test_assembly_matmul_matches_non_blas_einsum(four_dof_fimset):
         n_dof = fimset.n_dof
         binary = (np.arange(n_dof) % 2 == 1).astype(float)
         for z in (binary, random_feasible_z(rng, n_dof, n_dof // 2, mix=0.5)):
-            reference = np.einsum("i,kipq->kpq", z, fimset.matrices)
+            reference = np.einsum("i,kipq->pqk", z, fimset.matrices)
             # Off-diagonal entries cancel, so each entry is judged against
             # its PSD bound sqrt(Q_pp Q_qq), the same for both sums.
-            diagonal = np.einsum("kpp->kp", reference)
-            scale = np.sqrt(diagonal[:, :, None] * diagonal[:, None, :])
+            diagonal = np.einsum("ppk->pk", reference)
+            scale = np.sqrt(diagonal[:, None, :] * diagonal[None, :, :])
             error = np.abs(fim._assemble_all(z, fimset) - reference)
             assert np.all(error <= 1e-14 * scale), np.max(error / scale)
