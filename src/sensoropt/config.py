@@ -10,10 +10,8 @@ default, so ``prior`` lists only the marginals it overrides (each one
 complete).  ``Marginal`` checks its own ranges; ``RunConfig``'s ranges
 are checked here, on whichever fields parsed, so that every violation in
 a file is reported at once.  The interior-point controls are not
-configurable: they are the constants ``TOLERANCE``, ``CENTERING``,
-``MAX_OUTER_ITERATIONS``, ``MAX_NEWTON_ITERATIONS``, ``BARRIER_T0`` and
-``BARRIER_MULTIPLIER`` in ``solver``, so a ``solver`` key is an unknown
-key.
+configurable: they are the constants ``TOLERANCE``, ``MAX_ITERATIONS``
+and ``MU`` in ``solver``, so a ``solver`` key is an unknown key.
 """
 
 from __future__ import annotations

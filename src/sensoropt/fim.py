@@ -259,6 +259,9 @@ def check_sensor_vector(z, n_dof: int, budget: int | None = None,
     z = np.asarray(z, dtype=float)
     if z.shape != (n_dof,):
         raise ValueError(f"placement vector must have shape ({n_dof},), got {z.shape}")
+    # NaN would pass every comparison below.
+    if not np.all(np.isfinite(z)):
+        raise ValueError("placement entries must be finite")
     if np.any(z < -1e-9) or np.any(z > 1 + 1e-9):
         raise ValueError("placement entries must lie in [0, 1]")
     if budget is not None and abs(z.sum() - budget) > 1e-9:

@@ -1,31 +1,27 @@
-"""Relaxed placement solver: log-barrier interior point with Newton steps.
+"""Relaxed placement solver: primal-dual interior point with Newton steps.
 
 The relaxed problem minimizes the Monte-Carlo objective h (the negative
 mean log-determinant) over the box [0, 1]^n subject to a fixed sensor
-budget (an equality on the sum of the weights).  The 2n box constraints
-go into a logarithmic barrier, and each barrier subproblem is solved by
-equality-constrained Newton steps with backtracking line search (Boyd &
-Vandenberghe, *Convex Optimization*, 2004, section 11.3).  The barrier
-parameter starts at ``BARRIER_T0`` and grows by ``BARRIER_MULTIPLIER``
-per stage.  Every stage centers until half the squared Newton decrement
-is at most ``CENTERING``; at most ``MAX_OUTER_ITERATIONS`` stages of at
-most ``MAX_NEWTON_ITERATIONS`` steps each are allowed.  None of these is
-configurable.
+budget.  One primal-dual Newton loop (Boyd & Vandenberghe, *Convex
+Optimization*, 2004, section 11.7) moves the weights z, the multipliers
+``lam_lo`` and ``lam_hi`` of z >= 0 and z <= 1, and the budget multiplier
+``nu``.  Each step aims at the central point whose surrogate gap
+``z @ lam_lo + (1 - z) @ lam_hi`` is ``1 / MU`` of the current one, by
+the Newton system reduced to z (``_newton_direction``).  It goes at most
+``_BOUNDARY_FRACTION`` of the way to the boundary of the box or of the
+multipliers' positive orthant, and backtracks until the norm of the dual
+and centrality residuals falls.  None of the controls is configurable.
 
-The solve stops on a proved bound, not on how well a stage is centered.
-h is convex, so its tangent at any feasible z lies below it, and the
-smallest value of that tangent over the feasible set, reached by putting
-the budget on the smallest gradient entries, is a lower bound on the
-relaxed minimum.  ``duality_gap`` is the distance from h(z) down to that
-bound; after each stage the solve computes it from the gradient it
-already holds at z and stops once it is at most ``TOLERANCE``.  The
-centering only has to bring z close enough to the optimum for the gap to
-close, so one loose rule serves every stage.  The gap also bounds the
-best binary placement, which is a point of the same feasible set (the
-report's ``proved_gap``).  The Monte-Carlo gradient and Hessian do not
-depend on the barrier parameter, so those at the point where a stage
-stops serve the gap and the next stage's first step: a converged solve
-evaluates them once at the start and once after every accepted step.
+The solve stops on a proved bound.  h is convex, so its tangent at any
+feasible z lies below it, and the smallest value of that tangent over
+the feasible set, reached by putting the budget on the smallest gradient
+entries, is a lower bound on the relaxed minimum, and on the best binary
+placement (the report's ``proved_gap``).  ``duality_gap`` is the distance
+from h(z) down to that bound; the loop stops once it is at most
+``TOLERANCE``, or fails after ``MAX_ITERATIONS`` steps.  The derivatives
+at each trial point give its residual, and at the accepted point the gap
+and the next step.  The objective is evaluated at the start and at each
+accepted point, for the trace.
 
 ``certify_or_repair`` turns the relaxed optimum into a binary
 configuration.  It holds every story whose weight is within
@@ -65,28 +61,31 @@ _BOUNDARY_FRACTION = 0.99
 _MAX_BACKTRACKS = 60
 
 
-# Coordinates genuinely pinned to a bound sit within ~1e-8 of it at the
-# final barrier stage, while fractional coordinates can come out anywhere
-# in between, including 0.99+; the threshold below separates the two
-# regimes so the repair enumerates every fractional entry.
+# Coordinates the solve leaves at a bound sit within 1e-4 of it (8.6e-5 at
+# most on the fifty-story workload, seeds 1-12), while fractional ones can
+# come out anywhere in between (1.8e-3 from a bound at the least there);
+# the threshold below separates the two regimes so the repair enumerates
+# every fractional entry.
 AMBIGUITY_THRESHOLD = 1e-3
 # Most configurations one combination search scores, in the repair and in
 # the exhaustive baseline.
 ENUMERATION_CAP = 1_000_000
 # Bounds the proved duality gap of the returned point.
-TOLERANCE = 1e-6
-MAX_OUTER_ITERATIONS = 100
-MAX_NEWTON_ITERATIONS = 50
-BARRIER_T0 = 2.0
-BARRIER_MULTIPLIER = 100.0
-# A stage stops centering once half the squared Newton decrement is below
-# this; the accuracy comes from the duality gap, not from the centering.
-CENTERING = 1.0
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 50
+# Each step aims at the central point whose surrogate gap is 1/MU of the
+# current one.
+MU = 10.0
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One Newton step: objective values are in 'larger is better' orientation."""
+    """One Newton step: objective values are in 'larger is better' orientation.
+
+    ``barrier_t`` is ``1 / sigma``, the barrier parameter of the central
+    point the step aimed at, and ``newton_decrement`` is ``dz^T H dz / 2``
+    of the step's system reduced to z.
+    """
 
     iteration: int
     barrier_t: float
@@ -135,19 +134,16 @@ class BinaryPlacement:
         return tuple(int(i) + 1 for i in np.flatnonzero(self.delta))
 
 
-def _barrier_value(z: np.ndarray) -> float:
-    return float(-np.sum(np.log(z)) - np.sum(np.log(1.0 - z)))
-
-
-def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
     """Equality-constrained Newton step by block elimination.
 
-    Solves ``H dz = -(g + w 1)`` with ``1^T dz = 0`` for ``dz``.  ``H`` is
-    factored as ``L L^T`` and both right-hand sides ``g`` and ``1`` go
-    through the two triangular systems together.  When the factorization
-    fails, a ridge of ``1e-12`` times the mean diagonal is added to
-    ``hess`` (in place) and the factorization retried.  A system with an
-    infinite or NaN entry raises ``ValueError``.
+    Solves ``H dz + w 1 = -g`` with ``1^T dz = 0`` for ``dz`` and the
+    budget multiplier ``w``, and returns both.  ``H`` is factored as
+    ``L L^T`` and both right-hand sides ``g`` and ``1`` go through the two
+    triangular systems together.  When the factorization fails, a ridge of
+    ``1e-12`` times the mean diagonal is added to ``hess`` (in place) and
+    the factorization retried.  A system with an infinite or NaN entry
+    raises ``ValueError``.
     """
     if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
         raise ValueError("the Newton system has infinite or NaN entries")
@@ -159,7 +155,15 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
     rhs = np.stack([grad, np.ones_like(grad)], axis=1)
     hinv_g, hinv_1 = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
     w = -float(hinv_g.sum()) / float(hinv_1.sum())
-    return -(hinv_g + w * hinv_1)
+    return -(hinv_g + w * hinv_1), w
+
+
+def _residual_norm(grad, z, lam_lo, lam_hi, nu, sigma) -> float:
+    """Norm of the dual residual and the two centrality residuals at ``sigma``."""
+    residual = np.concatenate(
+        [grad - lam_lo + lam_hi + nu, lam_lo * z - sigma, lam_hi * (1.0 - z) - sigma]
+    )
+    return math.sqrt(float(residual @ residual))
 
 
 def solve_relaxed(
@@ -185,7 +189,8 @@ def solve_relaxed(
     Raises
     ------
     ConvergenceError
-        If the iteration limits are exhausted; the trace is attached.
+        If ``MAX_ITERATIONS`` steps do not close the duality gap, or a
+        line search fails; the trace is attached.
     """
     n = fimset.n_dof
     if not 1 <= budget <= n:
@@ -215,88 +220,75 @@ def solve_relaxed(
         if np.any(z <= 0) or np.any(z >= 1):
             raise ValueError("z0 must be strictly interior to the box")
 
-    t = BARRIER_T0
     h_val = evaluator.objective(z)
-    # The Monte-Carlo derivatives at z do not depend on t, so those of the
-    # point a stage ends at give its duality gap and the next stage's first
-    # step.
     grad_h, hess_h = evaluator.gradient_hessian(z)
+    # Multipliers of z >= 0 and z <= 1 on the central path at sigma = 1,
+    # and the budget multiplier that best balances the dual residual.
+    lam_lo = 1.0 / z
+    lam_hi = 1.0 / (1.0 - z)
+    nu = -float(np.mean(grad_h - lam_lo + lam_hi))
 
     trace: list[IterationRecord] = []
-    iteration = 0
-    for _outer in range(MAX_OUTER_ITERATIONS):
-        for _inner in range(MAX_NEWTON_ITERATIONS):
-            grad_phi = -1.0 / z + 1.0 / (1.0 - z)
-            hess_phi = 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
-            grad_t = t * grad_h + grad_phi
-            hess_t = t * hess_h
-            hess_t[np.diag_indices_from(hess_t)] += hess_phi
-
-            dz = _newton_direction(hess_t, grad_t)
-            decrement_sq = max(float(-grad_t @ dz), 0.0)
-            if decrement_sq / 2.0 <= CENTERING:
-                break
-
-            # Fraction-to-boundary cap keeps the iterate strictly interior.
-            step = 1.0
-            negative = dz < 0
-            if np.any(negative):
-                step = min(step, _BOUNDARY_FRACTION * np.min(z[negative] / -dz[negative]))
-            positive = dz > 0
-            if np.any(positive):
-                step = min(
-                    step, _BOUNDARY_FRACTION * np.min((1.0 - z[positive]) / dz[positive])
-                )
-
-            psi_now = t * h_val + _barrier_value(z)
-            slope = float(grad_t @ dz)
-            accepted = False
-            for _bt in range(_MAX_BACKTRACKS):
-                z_trial = z + step * dz
-                h_trial = evaluator.objective(z_trial)
-                psi_trial = t * h_trial + _barrier_value(z_trial)
-                if psi_trial <= psi_now + _ARMIJO_SLOPE * step * slope:
-                    accepted = True
-                    break
-                step *= _BACKTRACK
-            if not accepted:
-                raise ConvergenceError(
-                    f"line search failed at barrier parameter {t:.3g}", trace
-                )
-
-            z = z_trial
-            # Remove accumulated roundoff in the budget equality.
-            z = z + (budget - z.sum()) / n
-            h_val = h_trial
-            grad_h, hess_h = evaluator.gradient_hessian(z)
-            iteration += 1
-            trace.append(
-                IterationRecord(
-                    iteration=iteration,
-                    barrier_t=t,
-                    objective_value=-h_val,
-                    newton_decrement=decrement_sq / 2.0,
-                    step_size=step,
-                    step_norm=float(np.max(np.abs(step * dz))),
-                )
-            )
-            if callback is not None:
-                callback(z.copy())
-        else:
+    gap = duality_gap(z, grad_h, budget)
+    while gap > TOLERANCE:
+        if len(trace) == MAX_ITERATIONS:
             raise ConvergenceError(
-                f"Newton iterations exhausted at barrier parameter {t:.3g}", trace
+                f"Newton iterations exhausted after {MAX_ITERATIONS} steps "
+                f"at duality gap {gap:.3g}", trace
             )
+        sigma = (float(z @ lam_lo) + float((1.0 - z) @ lam_hi)) / (MU * 2 * n)
+        hess_h[np.diag_indices_from(hess_h)] += lam_lo / z + lam_hi / (1.0 - z)
+        rhs = grad_h - sigma / z + sigma / (1.0 - z)
+        dz, nu_plus = _newton_direction(hess_h, rhs)
+        dlam_lo = sigma / z - lam_lo - lam_lo * dz / z
+        dlam_hi = sigma / (1.0 - z) - lam_hi + lam_hi * dz / (1.0 - z)
+        dnu = nu_plus - nu
 
+        # The longest step that keeps z strictly inside the box and the
+        # multipliers positive, times the boundary fraction.
+        values = np.concatenate([z, 1.0 - z, lam_lo, lam_hi])
+        moves = np.concatenate([dz, -dz, dlam_lo, dlam_hi])
+        shrinking = moves < 0
+        step = min(1.0, _BOUNDARY_FRACTION * float(
+            np.min(values[shrinking] / -moves[shrinking], initial=np.inf)
+        ))
+        residual = _residual_norm(grad_h, z, lam_lo, lam_hi, nu, sigma)
+        for _bt in range(_MAX_BACKTRACKS):
+            z_trial = z + step * dz
+            # Remove accumulated roundoff in the budget equality.
+            z_trial += (budget - z_trial.sum()) / n
+            lam_lo_trial = lam_lo + step * dlam_lo
+            lam_hi_trial = lam_hi + step * dlam_hi
+            nu_trial = nu + step * dnu
+            grad_trial, hess_trial = evaluator.gradient_hessian(z_trial)
+            if _residual_norm(
+                grad_trial, z_trial, lam_lo_trial, lam_hi_trial, nu_trial, sigma
+            ) <= (1.0 - _ARMIJO_SLOPE * step) * residual:
+                break
+            step *= _BACKTRACK
+        else:
+            raise ConvergenceError(f"line search failed at duality gap {gap:.3g}", trace)
+
+        z, lam_lo, lam_hi, nu = z_trial, lam_lo_trial, lam_hi_trial, nu_trial
+        grad_h, hess_h = grad_trial, hess_trial
+        h_val = evaluator.objective(z)
         gap = duality_gap(z, grad_h, budget)
-        if gap <= TOLERANCE:
-            break
-        t *= BARRIER_MULTIPLIER
-    else:
-        raise ConvergenceError("barrier stages exhausted without convergence", trace)
+        trace.append(
+            IterationRecord(
+                iteration=len(trace) + 1,
+                barrier_t=1.0 / sigma,
+                objective_value=-h_val,
+                newton_decrement=max(float(-rhs @ dz), 0.0) / 2.0,
+                step_size=step,
+                step_norm=float(np.max(np.abs(step * dz))),
+            )
+        )
+        if callback is not None:
+            callback(z.copy())
     return RelaxedSolution(
         z_star=z,
         objective_relaxed=-h_val,
-        iterations=iteration,
+        iterations=len(trace),
         objective_evaluations=evaluator.n_objective,
         gradient_evaluations=evaluator.n_gradient,
         converged=True,

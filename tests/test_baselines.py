@@ -143,6 +143,11 @@ class TestCompare:
             compare([("dead", np.array([0, 1]))], fimset)
         assert excinfo.value.label == "dead"
 
+    def test_non_finite_configuration_rejected(self, four_dof_fimset):
+        delta = np.array([0.0, 1.0, np.nan, 1.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            compare([("optimal", np.array([0, 1, 0, 1])), ("broken", delta)], four_dof_fimset)
+
     def test_evaluation_counts_merged(self, four_dof_fimset):
         report = compare(
             [("optimal", np.array([0, 1, 0, 1])), ("greedy", np.array([1, 0, 0, 1]))],

@@ -4,17 +4,19 @@
 ``PATCHES`` table for a timing wrapper, and ``bench/run.py`` gates greedy at
 ``budget * (2 * n_dof - budget)`` objective evaluations, counted as calls
 of the ``mc_objective`` bound in ``fim``.  A refactor that renames a
-patched binding or changes greedy's count would otherwise fail only inside
-a traced benchmark run.  ``tracing.py`` is loaded by path, as it is.
+patched binding, changes greedy's count or drops a report key that
+``bench/run.py`` or ``bench/test_harness.py`` reads would otherwise fail
+only inside a benchmark run.  ``tracing.py`` is loaded by path, as it is.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from sensoropt import baselines
+from sensoropt import baselines, pipeline, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +52,27 @@ def test_greedy_evaluations_are_the_gated_count(four_dof_fimset, budget):
     expected = budget * (2 * four_dof_fimset.n_dof - budget)
     assert result.n_evaluations == expected
     assert traced == expected
+
+
+def test_report_has_every_key_the_benchmark_reads(tmp_path):
+    config = validate_config({
+        "n_dof": 4, "budget": 2, "n_steps": 50, "dt": 0.05, "n_samples": 20, "seed": 1,
+        "baselines": ["greedy", "exhaustive", "low", "high", "common"],
+    })
+    pipeline.write_report(pipeline.run_pipeline(config), tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    cfg, relaxed, placement = report["config"], report["relaxed"], report["placement"]
+    assert {"budget", "n_dof", "n_samples", "seed", "baselines"} <= cfg.keys()
+    assert relaxed["converged"] is True
+    assert isinstance(relaxed["trace"][-1]["newton_decrement"], float)
+    counts = [relaxed[key] for key in ("iterations", "objective_evaluations", "gradient_evaluations")]
+    assert all(isinstance(count, int) for count in counts)
+    assert isinstance(placement["certified_optimal"], bool)
+    assert isinstance(placement["ambiguous_stories"], list)
+    assert isinstance(placement["objective_evaluations"], int)
+    rows = report["comparison"]["rows"]
+    assert [row["label"] for row in rows] == ["optimal", "greedy", "exhaustive", "low", "high", "common"]
+    for row in rows:
+        assert {"label", "stories", "objective_value", "n_evaluations"} <= row.keys()
+    # bench/run.py derives the solver's backtracks from these two counts.
+    assert relaxed["objective_evaluations"] - relaxed["iterations"] - 1 >= 0

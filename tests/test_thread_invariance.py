@@ -110,14 +110,14 @@ for n_dof, n_samples in ((50, 1000), (80, 100)):
             mc_objective(weights, fimset)
         )
 for n_dof in (4, 50, 80):
-    # The barrier Newton system of solve_relaxed at t = 10.
+    # The reduced primal-dual Newton system of solve_relaxed with the
+    # start's multipliers, lam_lo = 1 / z and lam_hi = 1 / (1 - z), aiming
+    # at sigma = 0.1.
     z = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
     grad, hess = mc_gradient_hessian(z, sets[n_dof])
-    grad = 10.0 * grad - 1.0 / z + 1.0 / (1.0 - z)
-    hess = 10.0 * hess
     hess[np.diag_indices_from(hess)] += 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
-    dz = _newton_direction(hess, grad)
-    digests[f"Newton direction, {n_dof} stories"] = digest(dz)
+    dz, nu = _newton_direction(hess, grad - 0.1 / z + 0.1 / (1.0 - z))
+    digests[f"Newton direction, {n_dof} stories"] = digest(dz) + digest(np.float64(nu))
 print(json.dumps(digests))
 """
 
