@@ -28,9 +28,13 @@ over eight time bases for the whole block at once; a single
 ``SystemParameters`` is a block of one, so every caller shares that
 arithmetic.  ``response_sensitivities`` then turns one sample's
 coefficients into time series: it builds the time bases, on a
-``TimeGrid`` from two short tables per mode (``_damped_bases``; an
-arbitrary time array is evaluated directly, and ``tests/test_building.py``
-holds the two paths together), and applies two BLAS-backed contractions:
+``TimeGrid`` from two short tables per row (``_damped_bases``), one row
+per mode for the damped bases and one more, with the rate ``i w``, for
+the forcing's ``sin(w t)`` and ``cos(w t)``, so no sine or cosine runs
+over the record.  An arbitrary time array is evaluated directly, and
+``tests/test_building.py`` holds the two paths together.  The grid's time
+vectors are computed once per ``TimeGrid``.  Two BLAS-backed
+contractions follow:
 a batched matmul over modes that forms the modal derivatives from their
 coefficients (``K = 8``, ``_modal_sensitivities``), and a gemm that maps
 them to stories (``M = K = n_dof``).  Each is in an orientation whose
@@ -39,13 +43,16 @@ result was bitwise identical at 1, 2 and 8 BLAS threads on records of
 sizes and holds each to the non-BLAS ``einsum`` its docstring names as
 the fallback.  The second pass writes into ``SensitivityBuffers``, which
 the elementary-matrix stage (``fim.compute_elementary_set``, in blocks of
-``fim.ROWS`` mode-rows) allocates once for all samples.
+``fim.ROWS`` mode-rows) allocates once for all samples, and returns the
+sensitivities as a view of a story-major (story, parameter, time) array,
+the layout in which the stage takes their outer products.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -101,9 +108,25 @@ class TimeGrid:
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(1, self.n_steps + 1)
+        """The times ``t_n``, computed once per grid and read-only."""
+        return _read_only(self.dt * np.arange(1, self.n_steps + 1))
+
+    @cached_property
+    def table_times(self) -> np.ndarray:
+        """The coarse table's times ``a m dt``, then the fine table's ``b dt``.
+
+        See ``_damped_bases``; computed once per grid and read-only.
+        """
+        _, m = _grid_split(self.n_steps)
+        coarse = self.dt * np.arange(0, self.n_steps + 1, m)
+        return _read_only(np.concatenate([coarse, self.dt * np.arange(m)]))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -258,9 +281,10 @@ class _ClosedForm(NamedTuple):
     sum_b bracket[b, s, j] * bases[j, b, t]`` over ``b < 4``: the bracket
     coefficients are ``(trans_sin, cross, detune, -cross)`` and the bases,
     from ``_time_bases``, are ``e sin(wd_j t)``, ``e cos(wd_j t)``,
-    ``sin(w t)`` and ``cos(w t)`` with envelope ``e = exp(-zeta_j w_j t)``.
-    Bases 4 to 7 are ``t`` times bases 0 to 3; the derivatives of the
-    response need them.
+    ``sin(w t)`` and ``cos(w t)`` with envelope ``e = exp(-zeta_j w_j t)``,
+    the imaginary and real parts of ``exp(rate t)`` for the complex rates
+    ``rate``.  Bases 4 to 7 are ``t`` times bases 0 to 3; the derivatives
+    of the response need them.
     """
 
     wj: np.ndarray  # (B, n_dof) each, as from modal_constants
@@ -274,8 +298,12 @@ class _ClosedForm(NamedTuple):
 
     @property
     def rate(self) -> np.ndarray:
-        """Complex ``-zeta_j w_j + i wd_j``, shape (B, n_dof): see ``_damped_bases``."""
-        return -self.zj * self.wj + 1j * self.wd
+        """Complex rates of the time bases, shape (B, n_dof + 1): see ``_damped_bases``.
+
+        Column ``j < n_dof`` is mode ``j``'s ``-zeta_j w_j + i wd_j``; the
+        last column is the forcing's ``i w``, exactly ``0 + i w``.
+        """
+        return np.concatenate([-self.zj * self.wj + 1j * self.wd, 1j * self.w], axis=1)
 
 
 class SensitivityBuffers(NamedTuple):
@@ -287,7 +315,7 @@ class SensitivityBuffers(NamedTuple):
     ones.  Each call rewrites all four before it reads them.
     """
 
-    damped: np.ndarray  # complex (n_dof, table length), see _damped_bases
+    damped: np.ndarray  # complex (n_dof + 1, table length), see _damped_bases
     bases: np.ndarray  # (n_dof, 8, n_times), from _time_bases
     modal: np.ndarray  # (n_dof, 5, n_times), as from _modal_sensitivities
     story: np.ndarray  # (n_dof, 5, n_times), story-major sensitivities
@@ -300,7 +328,7 @@ class SensitivityCoefficients(NamedTuple):
     form that ``response_sensitivities`` takes as ``coefficients``.
     """
 
-    rate: np.ndarray  # complex (B, n_dof), as _ClosedForm.rate
+    rate: np.ndarray  # complex (B, n_dof + 1), as _ClosedForm.rate
     coef: np.ndarray  # (B, n_dof, 5, 8): coef[s, j, p] @ bases[j] is dq_j/d theta_p
 
 
@@ -318,7 +346,7 @@ def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
     else:
         n_times = table = _as_times(times).size
     return SensitivityBuffers(
-        damped=np.empty((n_dof, table), dtype=complex),
+        damped=np.empty((n_dof + 1, table), dtype=complex),
         bases=np.empty((n_dof, 8, n_times)),
         modal=np.empty((n_dof, N_PARAMS, n_times)),
         story=np.empty((n_dof, N_PARAMS, n_times)),
@@ -326,49 +354,54 @@ def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
 
 
 def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
-    """``exp(rate_j t)`` for complex ``rate_j = -zeta_j w_j + i wd_j``, shape (n_dof, n_times).
+    """``exp(rate_r t)`` for each complex rate of one sample, shape (n_dof + 1, n_times).
 
-    Its imaginary and real parts are the damped bases ``e sin(wd_j t)`` and
-    ``e cos(wd_j t)``.  On a ``TimeGrid`` each step is written
-    ``n = a m + b`` with ``m = isqrt(n_steps) + 1``, and ``exp(rate t_n)`` is
-    the product of a coarse table over ``a m dt`` and a fine table over
-    ``b dt``: about ``2 sqrt(n_steps)`` complex exponentials per mode instead
-    of ``n_steps``.  Every entry is the product of two directly evaluated
-    values, not a recurrence, so its error does not grow with ``n``.  An
-    arbitrary time array is evaluated directly.  The table is written into
-    ``out`` (``SensitivityBuffers.damped``); the result is a view of it.
+    ``rate`` is the sample's row of ``_ClosedForm.rate``: row ``j < n_dof``
+    is mode ``j``'s ``-zeta_j w_j + i wd_j``, whose imaginary and real
+    parts are the damped bases ``e sin(wd_j t)`` and ``e cos(wd_j t)``, and
+    the last row is the forcing's ``i w``, whose parts are ``sin(w t)`` and
+    ``cos(w t)``.  On a ``TimeGrid`` each step is written ``n = a m + b``
+    with ``m = isqrt(n_steps) + 1``, and ``exp(rate t_n)`` is the product of
+    a coarse table over ``a m dt`` and a fine table over ``b dt``
+    (``TimeGrid.table_times``): about ``2 sqrt(n_steps)`` complex
+    exponentials per row instead of ``n_steps``.  Every entry is the
+    product of two directly evaluated values, not a recurrence, so its
+    error does not grow with ``n``.  An arbitrary time array is evaluated
+    directly.  The table is written into ``out``
+    (``SensitivityBuffers.damped``); the result is a view of it.
     """
     if not isinstance(times, TimeGrid):
         np.multiply.outer(rate, _as_times(times), out=out)
         return np.exp(out, out=out)
-    n_steps = times.n_steps
-    n_coarse, m = _grid_split(n_steps)
-    coarse = np.exp(np.multiply.outer(rate, times.dt * np.arange(0, n_steps + 1, m)))
-    fine = np.exp(np.multiply.outer(rate, times.dt * np.arange(m)))
+    n_coarse, m = _grid_split(times.n_steps)
+    factors = np.exp(np.multiply.outer(rate, times.table_times))
+    coarse, fine = factors[:, :n_coarse], factors[:, n_coarse:]
     # Entry (a, b) of the product is step a m + b; step 0 is t = 0.
     np.multiply(coarse[:, :, None], fine[:, None, :], out=out.reshape(rate.size, n_coarse, m))
-    return out[:, 1 : n_steps + 1]
+    return out[:, 1 : times.n_steps + 1]
 
 
-def _time_bases(rate: np.ndarray, w: float, times, buffers: SensitivityBuffers) -> np.ndarray:
+def _time_bases(rate: np.ndarray, times, buffers: SensitivityBuffers) -> np.ndarray:
     """The eight time bases of ``_ClosedForm`` for one sample, shape (n_dof, 8, n_times).
 
-    ``rate`` is the sample's row of ``_ClosedForm.rate`` and ``w`` its
-    forcing frequency.  The bases are written into ``buffers.bases``.
+    ``rate`` is the sample's row of ``_ClosedForm.rate``.  All four bases
+    0 to 3 are parts of ``_damped_bases``' table: the damped pair from
+    each mode's row, and the forcing pair from the last row, broadcast
+    over the modes, so no sine or cosine is taken over the record.  Bases
+    4 to 7 are then ``t`` times bases 0 to 3, in one multiply.  The bases
+    are written into ``buffers.bases``.
     """
-    t = _as_times(times)
-    damped = _damped_bases(rate, times, buffers.damped)
+    table = _damped_bases(rate, times, buffers.damped)
+    damped, forcing = table[:-1], table[-1]
     bases = buffers.bases
-    # Bases 4 to 7 are written from sources outside ``bases``: reading
-    # ``bases[:, :4]`` into ``bases[:, 4:]`` of the same buffer would make
-    # numpy copy its input first.
-    for b, source in enumerate((damped.imag, damped.real)):
-        bases[:, b] = source
-        np.multiply(source, t, out=bases[:, b + 4])
-    # The forcing bases are one row each, broadcast over the modes.
-    for b, source in enumerate((np.sin(w * t), np.cos(w * t)), start=2):
-        bases[:, b] = source
-        bases[:, b + 4] = source * t
+    bases[:, 0] = damped.imag
+    bases[:, 1] = damped.real
+    bases[:, 2] = forcing.imag
+    bases[:, 3] = forcing.real
+    # Input and output share a buffer, so numpy may read bases 0 to 3
+    # through a copy; the stage measured no slower than four multiplies
+    # from the table at 4 and 50 stories.
+    np.multiply(bases[:, :4], _as_times(times), out=bases[:, 4:])
     return bases
 
 
@@ -406,7 +439,7 @@ def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) ->
         Modal coordinate histories, one column per mode.
     """
     cf = _closed_form(model, theta.as_array()[None])
-    bases = _time_bases(cf.rate[0], theta.omega, times, sensitivity_buffers(model.n_dof, times))
+    bases = _time_bases(cf.rate[0], times, sensitivity_buffers(model.n_dof, times))
     return np.einsum("bj,jbn->nj", cf.bracket[:, 0] * (cf.aj[0] / cf.denom[0]), bases[:, :4])
 
 
@@ -440,7 +473,7 @@ def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoef
     SensitivityCoefficients
         ``coef[s, j, p] @ bases[j]`` is the derivative of mode ``j`` of
         sample ``s`` with respect to parameter ``PARAMETER_NAMES[p]``, with
-        ``bases = _time_bases(rate[s], rows[s, 3], times, buffers)``.
+        ``bases = _time_bases(rate[s], times, buffers)``.
     """
     rows = np.asarray(rows, dtype=float)
     cf = _closed_form(model, rows)
@@ -513,7 +546,7 @@ def _modal_sensitivities(
     if buffers is None:
         buffers = sensitivity_buffers(model.n_dof, times)
     rate, coef = coefficients
-    bases = _time_bases(rate, theta.omega, times, buffers)
+    bases = _time_bases(rate, times, buffers)
     return np.matmul(coef, bases, out=buffers.modal)
 
 

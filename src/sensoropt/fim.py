@@ -23,6 +23,11 @@ steps (README, "Determinism").
   matmul over modes (``K = 8``) and the mode-to-story gemm
   (``M = K = n_dof``).  Each sample's coefficients are the same bits in
   any block, so the result does not depend on ``ROWS``.
+- ``_outer_products`` takes each sample's ``Q_i`` with ``np.vecdot``, one
+  BLAS ddot along time per entry.  The exception to "one short sum" is
+  here: a ddot is one long sum, and OpenBLAS splits a ddot of more than
+  10,000 elements between threads.  So each dot covers at most
+  ``OUTER_CHUNK`` steps, and the chunks are added in order.
 - ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
   the Newton step need it, with one gemv over stories: ``z`` times the
   set's entry-major copy ``entries`` of shape (n_dof, 25 n_samples), so
@@ -39,9 +44,11 @@ steps (README, "Determinism").
   from per-sample batched matmuls with an inner dimension of at most 15,
   summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
 
-``tests/test_thread_invariance.py`` checks all of them at benchmark sizes
-and holds the modal contraction, the mode-to-story map and the assembly
-to the non-BLAS ``einsum`` each docstring names as its fallback;
+``tests/test_thread_invariance.py`` checks all of them at benchmark sizes,
+and the outer products at one, two and three chunks.  It holds the modal
+contraction, the mode-to-story map and the assembly to the non-BLAS
+``einsum`` each docstring names as its fallback, and ``tests/test_fim.py``
+holds the outer products to theirs;
 ``tests/test_fim.py`` keeps the two-``einsum`` whitening as the Newton
 step's fallback.
 """
@@ -213,6 +220,30 @@ class ElementaryFimSet:
 # ROWS floats) stay small at any height.
 ROWS = 256
 
+# Time steps per ``np.vecdot`` call of the outer products.  OpenBLAS
+# splits a ddot of more than 10,000 elements between threads, which
+# changes its summation order; shorter dots run on one thread.
+OUTER_CHUNK = 8192
+
+
+def _outer_products(story_major: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``Q_i = sum_n g_{n,i} g_{n,i}^T`` of one sample, written into ``out`` (n_dof, 5, 5).
+
+    ``story_major`` holds the sensitivities laid out (story, parameter,
+    time).  Each entry is one BLAS ddot along contiguous time
+    (``np.vecdot``), summed over chunks of ``OUTER_CHUNK`` steps in chunk
+    order, so no dot is long enough for OpenBLAS to split it between
+    threads.  ``(p, q)`` and ``(q, p)`` multiply the same pairs in the same
+    order, so every ``Q_i`` is exactly symmetric.  The non-BLAS
+    ``np.einsum("ipn,iqn->ipq", story_major, story_major)`` is the fallback.
+    """
+    rows, cols = story_major[:, :, None], story_major[:, None]
+    np.vecdot(rows[..., :OUTER_CHUNK], cols[..., :OUTER_CHUNK], out=out)
+    for start in range(OUTER_CHUNK, story_major.shape[-1], OUTER_CHUNK):
+        chunk = slice(start, start + OUTER_CHUNK)
+        out += np.vecdot(rows[..., chunk], cols[..., chunk])
+    return out
+
 
 def compute_elementary_set(
     model: ShearBuildingModel, samples: SampleSet, times
@@ -223,10 +254,12 @@ def compute_elementary_set(
     ``building.sensitivity_coefficients`` call forms the modal constants
     and sensitivity coefficients of the whole block, then each sample's
     ``response_sensitivities`` builds its time bases, modal derivatives and
-    story map from its coefficients, and its outer products follow.
-    Samples run in order, and the result depends only on (model, samples,
-    times).  Every sample's sensitivities are written into the same
-    ``building.SensitivityBuffers``, allocated here once.
+    story map from its coefficients, and its outer products follow
+    (``_outer_products``).  Samples run in order, and the result depends
+    only on (model, samples, times).  Every sample's sensitivities are
+    written into the same ``building.SensitivityBuffers``, allocated here
+    once.  A block whose matrices are not all finite raises
+    ``FloatingPointError`` naming its first such sample.
     """
     n_samples, n_dof = samples.n_samples, model.n_dof
     out = np.empty((n_samples, n_dof, N_PARAMS, N_PARAMS))
@@ -241,14 +274,15 @@ def compute_elementary_set(
             sens = response_sensitivities(
                 model, theta, times, buffers=buffers, coefficients=coefficients
             )
-            # The sensitivities are stored (story, parameter, time): summing
-            # along contiguous time keeps the einsum loop vectorised.
-            story_major = sens.transpose(1, 2, 0)
-            np.einsum("ipn,iqn->ipq", story_major, story_major, out=out[k])
-            # The diagonal sums the squares of every sensitivity, so it is
-            # finite exactly when they all are (and their squares do not overflow).
-            if not np.all(np.isfinite(out[k])):
-                raise FloatingPointError(f"non-finite sensitivities for sample {k}")
+            # The sensitivities are stored (story, parameter, time).
+            _outer_products(sens.transpose(1, 2, 0), out[k])
+        # A diagonal sums the squares of its story's sensitivities, so a
+        # sample's matrices are finite exactly when all its sensitivities are
+        # (and their squares do not overflow).  Checked once per block.
+        finite = np.isfinite(out[start:stop]).all(axis=(1, 2, 3))
+        if not finite.all():
+            k = start + int(np.argmin(finite))
+            raise FloatingPointError(f"non-finite sensitivities for sample {k}")
     out.setflags(write=False)
     return ElementaryFimSet(matrices=out)
 

@@ -309,22 +309,32 @@ class TestResponseSensitivities:
 
     @pytest.mark.parametrize("n_dof", [1, 50])
     def test_time_bases_match_their_formula(self, n_dof):
-        # Bases 4 to 7 are t times bases 0 to 3, bit for bit, however they
-        # are written; also on an arbitrary time array.
+        # Bases 0 to 3 are the parts of the table's rows, bit for bit: each
+        # mode's damped row, and for every mode the one forcing row, whose
+        # rate is exactly i w.  Bases 4 to 7 are t times bases 0 to 3, bit
+        # for bit.  Also on an arbitrary time array.
         model = build_uniform_shear_model(n_dof)
         theta = sample_prior(default_prior(), 1, seed=4).values
         rate = building.sensitivity_coefficients(model, theta).rate[0]
         w = theta[0, 3]
-        for times in (TimeGrid(1000, 0.01), np.array([0.0, 0.3, 2.5, 7.0])):
+        assert rate[-1] == complex(0.0, w)
+        grids = (TimeGrid(1000, 0.01), TimeGrid(10_001, 0.01))
+        for times in grids + (np.array([0.0, 0.3, 2.5, 7.0]),):
             t = times.times if isinstance(times, TimeGrid) else times
             buffers = building.sensitivity_buffers(n_dof, times)
-            damped = building._damped_bases(rate, times, np.empty_like(buffers.damped))
-            bases = building._time_bases(rate, w, times, buffers)
-            assert np.array_equal(bases[:, 0], damped.imag)
-            assert np.array_equal(bases[:, 1], damped.real)
-            assert np.all(bases[:, 2] == np.sin(w * t))
-            assert np.all(bases[:, 3] == np.cos(w * t))
+            table = building._damped_bases(rate, times, np.empty_like(buffers.damped))
+            bases = building._time_bases(rate, times, buffers)
+            assert np.array_equal(bases[:, 0], table[:-1].imag)
+            assert np.array_equal(bases[:, 1], table[:-1].real)
+            assert np.array_equal(bases[:, 2], np.broadcast_to(table[-1].imag, (n_dof, t.size)))
+            assert np.array_equal(bases[:, 3], np.broadcast_to(table[-1].real, (n_dof, t.size)))
             assert np.array_equal(bases[:, 4:], bases[:, :4] * t)
+            # The forcing row agrees with the direct sine and cosine to
+            # within 4 units in the last place of the largest phase w t, the
+            # size of that phase's own rounding (about 2 were seen).
+            bound = 4 * np.spacing(w * t[-1])
+            assert np.max(np.abs(bases[:, 2] - np.sin(w * t))) <= bound
+            assert np.max(np.abs(bases[:, 3] - np.cos(w * t))) <= bound
 
     def test_entries_finite_and_shaped(self):
         model = build_uniform_shear_model(4)

@@ -92,6 +92,24 @@ class TestElementaryMatrices:
         with pytest.raises(FloatingPointError, match="sample 0"):
             _elementary_from(monkeypatch, sens)
 
+    def test_first_non_finite_sample_of_a_block_is_named(self, monkeypatch):
+        # Finiteness is checked once per block of samples; samples 5 and 7
+        # share a block, and the earlier one is named.
+        samples = sample_prior(default_prior(), 10, seed=0)
+        assert samples.n_samples <= fim.ROWS // 4
+        bad = {samples.parameters(k) for k in (5, 7)}
+        exact = fim.response_sensitivities
+
+        def spoiled(model, theta, times, **kwargs):
+            sens = exact(model, theta, times, **kwargs)
+            if theta in bad:
+                sens[3, 1, 2] = np.nan
+            return sens
+
+        monkeypatch.setattr(fim, "response_sensitivities", spoiled)
+        with pytest.raises(FloatingPointError, match="sample 5$"):
+            compute_elementary_set(build_uniform_shear_model(4), samples, TimeGrid(50, 0.01))
+
     @pytest.mark.parametrize("n_dof", [4, 50, 80])
     def test_reused_buffers_match_allocating_path(self, n_dof):
         # The stage writes every sample into one set of buffers; running
@@ -103,17 +121,40 @@ class TestElementaryMatrices:
         samples = sample_prior(prior, 4, seed=5)
         model = build_uniform_shear_model(n_dof)
         grid = TimeGrid(1000, 0.01)
-        expected = []
+        expected = np.empty((samples.n_samples, n_dof, 5, 5))
         for k in range(samples.n_samples):
             sens = response_sensitivities(model, samples.parameters(k), grid)
-            story_major = sens.transpose(1, 2, 0)
-            expected.append(np.einsum("ipn,iqn->ipq", story_major, story_major))
-        expected = np.array(expected)
+            fim._outer_products(sens.transpose(1, 2, 0), expected[k])
         forward = compute_elementary_set(model, samples, grid).matrices
         reverse = SampleSet(values=samples.values[::-1].copy(), seed=samples.seed)
         backward = compute_elementary_set(model, reverse, grid).matrices[::-1]
         np.testing.assert_array_equal(forward, expected)
         np.testing.assert_array_equal(backward, expected)
+
+    @pytest.mark.parametrize("n_dof", [1, 4, 50, 80])
+    def test_outer_products_match_non_blas_einsum(self, n_dof):
+        # The einsum is the fallback named in fim._outer_products.  10,001
+        # steps take two chunks of the chunked sum.  Off-diagonal entries
+        # cancel, and the upper stories' entries can be as small as 1e-24,
+        # where both sums are set by rounding, so each sample's error is
+        # judged against sqrt(max_i Q_i,pp max_i Q_i,qq), not per entry.
+        prior = dataclasses.replace(  # underdamped in every mode at 80 stories
+            default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15)
+        )
+        samples = sample_prior(prior, 2, seed=8)
+        model = build_uniform_shear_model(n_dof)
+        for n_steps in (1, 7, 1000, 1001, 10_001):
+            grid = TimeGrid(n_steps, 0.01)
+            matrices = compute_elementary_set(model, samples, grid).matrices
+            assert np.array_equal(matrices, matrices.transpose(0, 1, 3, 2))
+            for k in range(samples.n_samples):
+                sens = response_sensitivities(model, samples.parameters(k), grid)
+                story_major = sens.transpose(1, 2, 0)
+                reference = np.einsum("ipn,iqn->ipq", story_major, story_major)
+                top = np.max(np.einsum("ipp->ip", reference), axis=0)
+                scale = np.sqrt(np.multiply.outer(top, top))
+                error = np.max(np.abs(matrices[k] - reference), axis=0)
+                assert np.all(error <= 1e-12 * scale), (n_steps, k, np.max(error / scale))
 
     @pytest.mark.parametrize("n_dof, n_samples, k", [(4, 150, 100), (50, 13, 7)])
     def test_block_boundaries(self, n_dof, n_samples, k):

@@ -2,7 +2,9 @@
 
 ``response_sensitivities`` forms the modal derivatives with one batched
 matmul over modes and maps them to stories with one gemm
-(``np.dot``); ``mc_objective`` assembles ``Q(z)`` with one gemv over
+(``np.dot``); ``compute_elementary_set`` takes each story's outer
+products with ddots of at most ``fim.OUTER_CHUNK`` steps
+(``np.vecdot``); ``mc_objective`` assembles ``Q(z)`` with one gemv over
 stories; ``mc_gradient_hessian`` whitens the elementary
 matrices and forms the Hessian terms with per-sample batched matmuls; and
 the solver factors and solves each Newton system with LAPACK.
@@ -12,9 +14,10 @@ Acceptance criterion 9 builds only 4 stories, where the map's inner
 dimension is 4, so it cannot see an orientation whose result varies with
 the thread count; the sizes here are those of the benchmark workloads
 (4 and 50 stories, and 80 for the tall building), plus a sample count that
-is not a multiple of the Newton step's sample block.  The other tests
-hold the modal contraction, the mode-to-story map and the assembly to
-the non-BLAS ``einsum`` each docstring names as its fallback.
+is not a multiple of the Newton step's sample block, and records of one,
+two and three outer-product chunks.  The other tests hold the modal
+contraction, the mode-to-story map, the outer products and the assembly
+to the non-BLAS ``einsum`` each docstring names as its fallback.
 """
 
 import json
@@ -47,7 +50,7 @@ from sensoropt import (
     Marginal, SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
     default_prior, mc_gradient_hessian, mc_objective, response_sensitivities, sample_prior,
 )
-from sensoropt.fim import ElementaryFimSet
+from sensoropt.fim import ElementaryFimSet, _outer_products
 from sensoropt.solver import _newton_direction
 
 
@@ -68,6 +71,13 @@ fimset = compute_elementary_set(
     build_uniform_shear_model(50), sample_prior(default_prior(), 5, seed=1), grid
 )
 digests["elementary matrices, 50 stories x 5 samples"] = digest(fimset.matrices)
+# OpenBLAS splits a ddot of more than 10,000 elements between threads, so
+# records longer than that are summed in chunks; 20,000 steps take three.
+for n_steps in (1000, 10_001, 20_000):
+    story_major = np.random.default_rng(n_steps).standard_normal((4, 5, n_steps))
+    digests[f"outer products, 4 stories x {n_steps} steps"] = digest(
+        _outer_products(story_major, np.empty((4, 5, 5)))
+    )
 
 sets = {
     n_dof: compute_elementary_set(
@@ -138,7 +148,7 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 19
+    assert len(reference) == 22
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
@@ -166,7 +176,7 @@ def test_modal_matmul_matches_non_blas_einsum():
         model = build_uniform_shear_model(n_dof)
         block = building.sensitivity_coefficients(model, theta.as_array()[None])
         buffers = building.sensitivity_buffers(n_dof, grid)
-        bases = building._time_bases(block.rate[0], theta.omega, grid, buffers)
+        bases = building._time_bases(block.rate[0], grid, buffers)
         reference = np.einsum("jpb,jbn->jpn", block.coef[0], bases)
         dq = building._modal_sensitivities(model, theta, grid)
         scale = np.max(np.abs(reference), axis=(0, 2))
