@@ -1,10 +1,10 @@
 """The headline study: 20 sensors on a 50-story building.
 
 An exhaustive search over the roughly 47 trillion possible configurations
-is out of the question; the relaxed convex solve takes 32 objective
-evaluations and the repair of its rounding 126 more, 158 in all.  Runs the
+is out of the question; the relaxed convex solve takes 15 objective
+evaluations and the repair of its rounding 126 more, 141 in all.  Runs the
 packaged pipeline and writes the full report artifacts to
-``runs/fifty-story-demo/`` (runtime is about 4.4 s on a 2-core machine).
+``runs/fifty-story-demo/`` (runtime is about 3.5 s on a 2-core machine).
 ``runs/fifty-story/`` holds the committed reference report for this
 configuration, which the demo leaves alone.
 """

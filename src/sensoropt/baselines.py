@@ -15,6 +15,7 @@ from .fim import (
     CountingEvaluator,
     ElementaryFimSet,
     SingularInformationError,
+    check_budget,
     check_sensor_vector,
     mc_objective,
     regularization_scale,
@@ -77,8 +78,7 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     value is recomputed without the ridge.
     """
     n = fimset.n_dof
-    if not 1 <= budget <= n:
-        raise ValueError(f"budget must satisfy 1 <= budget <= {n}, got {budget}")
+    check_budget(budget, n)
     evaluator = CountingEvaluator(fimset)
     eps = regularization_scale(fimset)
 
@@ -134,8 +134,7 @@ def exhaustive(fimset: ElementaryFimSet, budget: int) -> ExhaustiveResult:
     configuration.
     """
     n = fimset.n_dof
-    if not 1 <= budget <= n:
-        raise ValueError(f"budget must satisfy 1 <= budget <= {n}, got {budget}")
+    check_budget(budget, n)
     count = math.comb(n, budget)
     if count > ENUMERATION_CAP:
         raise ValueError(
@@ -145,15 +144,14 @@ def exhaustive(fimset: ElementaryFimSet, budget: int) -> ExhaustiveResult:
     return ExhaustiveResult(delta=delta, objective_value=value, n_evaluations=evals)
 
 
-def fixed_configs(n_dof: int = 50, budget: int = 20) -> dict[str, np.ndarray]:
+def fixed_configs(n_dof: int, budget: int) -> dict[str, np.ndarray]:
     """Reference layouts: bottom block, top block, and evenly spaced.
 
     ``low`` instruments stories 1..budget, ``high`` the top ``budget``
     stories, and ``common`` stories ``ceil(k * n_dof / budget)`` for
-    k = 1..budget (evenly spaced, rounded up).
+    k = 1..budget (evenly spaced, rounded up, distinct as budget <= n_dof).
     """
-    if not 1 <= budget <= n_dof:
-        raise ValueError(f"budget must satisfy 1 <= budget <= {n_dof}, got {budget}")
+    check_budget(budget, n_dof)
     low = np.zeros(n_dof, dtype=int)
     low[:budget] = 1
     high = np.zeros(n_dof, dtype=int)
@@ -161,8 +159,6 @@ def fixed_configs(n_dof: int = 50, budget: int = 20) -> dict[str, np.ndarray]:
     common = np.zeros(n_dof, dtype=int)
     for k in range(1, budget + 1):
         common[math.ceil(k * n_dof / budget) - 1] = 1
-    if common.sum() != budget:
-        raise ValueError("evenly spaced layout collapsed; budget too large for n_dof")
     return {"low": low, "high": high, "common": common}
 
 

@@ -23,21 +23,20 @@ form (``build_uniform_shear_model``), so no eigensolver runs.
 
 The sensitivities come in two passes.  ``sensitivity_coefficients``
 takes a block of parameter rows, shape (B, 5), and forms the modal
-constants (``modal_constants``) and each mode's derivative coefficients
-over eight time bases for the whole block at once; a single
-``SystemParameters`` is a block of one, so every caller shares that
-arithmetic.  ``response_sensitivities`` then turns one sample's
-coefficients into time series: it builds the time bases, on a
+constants (``modal_constants``, after range-checking the rows) and each
+mode's derivative coefficients over eight time bases for the whole block
+at once; a single ``SystemParameters`` is a block of one, so every caller
+shares that arithmetic.  ``response_sensitivities`` then turns one
+sample's coefficients into time series: it builds the time bases, on a
 ``TimeGrid`` from two short tables per row (``_damped_bases``), one row
 per mode for the damped bases and one more, with the rate ``i w``, for
 the forcing's ``sin(w t)`` and ``cos(w t)``, so no sine or cosine runs
 over the record.  An arbitrary time array is evaluated directly, and
 ``tests/test_building.py`` holds the two paths together.  The grid's time
-vectors are computed once per ``TimeGrid``.  Two BLAS-backed
-contractions follow:
-a batched matmul over modes that forms the modal derivatives from their
-coefficients (``K = 8``, ``_modal_sensitivities``), and a gemm that maps
-them to stories (``M = K = n_dof``).  Each is in an orientation whose
+vectors are computed once per ``TimeGrid``.  Two BLAS-backed contractions
+follow: a batched matmul over modes that forms the modal derivatives from
+their coefficients (``K = 8``, ``_modal_sensitivities``), and a gemm that
+maps them to stories (``M = K = n_dof``).  Each is in an orientation whose
 result was bitwise identical at 1, 2 and 8 BLAS threads on records of
 1000 steps; ``tests/test_thread_invariance.py`` checks both at benchmark
 sizes and holds each to the non-BLAS ``einsum`` its docstring names as
@@ -79,20 +78,31 @@ class SystemParameters:
     a0: float
 
     def __post_init__(self):
-        # Written so that NaN fails every check.
-        if not self.omega0 > 0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not self.beta >= 0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
-        if not math.isfinite(self.a0):
-            raise ValueError(f"a0 must be finite, got {self.a0}")
+        _check_ranges(self.as_array()[None])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.omega0, self.alpha, self.beta, self.omega, self.a0])
+
+
+def _check_ranges(rows: np.ndarray) -> None:
+    """Reject parameter rows, shape (B, 5), with a value outside its range.
+
+    NaN fails every check.  The error names the first failing row's first
+    failing parameter in the order below, as for that row on its own.
+    """
+    omega0, alpha, beta, omega, a0 = rows.T
+    checks = (
+        ("omega0", "positive", omega0, omega0 > 0),
+        ("omega", "positive", omega, omega > 0),
+        ("alpha", "non-negative", alpha, alpha >= 0),
+        ("beta", "non-negative", beta, beta >= 0),
+        ("a0", "finite", a0, np.isfinite(a0)),
+    )
+    valid = np.logical_and.reduce([ok for *_, ok in checks])
+    if not valid.all():
+        row = int(np.argmin(valid))
+        name, requirement, values, _ = next(check for check in checks if not check[3][row])
+        raise ValueError(f"{name} must be {requirement}, got {values[row]}")
 
 
 @dataclass(frozen=True)
@@ -236,8 +246,7 @@ def modal_constants(model: ShearBuildingModel, theta):
     ``theta`` is one ``SystemParameters`` or a block of parameter rows,
     shape (B, 5) in ``PARAMETER_NAMES`` order (``SampleSet.values[a:b]``).
     A block is computed in one pass; one ``SystemParameters`` is the
-    block of its one row.  The rows are not range-checked here:
-    ``SystemParameters`` checks them.
+    block of its one row.
 
     Returns
     -------
@@ -247,15 +256,17 @@ def modal_constants(model: ShearBuildingModel, theta):
 
     Raises
     ------
-    UnsupportedDampingError
-        If any mode has damping ratio >= 1.  In a block, the first sample
-        with such a mode is reported as it would be on its own.
+    ValueError
+        If a row is out of range, or ``UnsupportedDampingError`` if a mode
+        has damping ratio >= 1, checked in that order.  The first failing
+        sample of a block is reported as it would be on its own.
     """
     if isinstance(theta, SystemParameters):
         return tuple(c[0] for c in modal_constants(model, theta.as_array()[None]))
     rows = np.asarray(theta, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != N_PARAMS:
         raise ValueError(f"expected parameter rows of shape (B, {N_PARAMS}), got {rows.shape}")
+    _check_ranges(rows)
     omega0, alpha, beta, _, a0 = rows.T[:, :, None]  # (B, 1) columns
     cj = np.sqrt(model.eigenvalues)
     wj = cj * omega0
@@ -324,8 +335,8 @@ class SensitivityBuffers(NamedTuple):
 class SensitivityCoefficients(NamedTuple):
     """The per-sample inputs of ``response_sensitivities`` for B samples.
 
-    ``zip(*coefficients)`` yields each sample's ``(rate, coef)`` pair, the
-    form that ``response_sensitivities`` takes as ``coefficients``.
+    ``zip(*coefficients)`` yields each sample's ``(rate, coef)`` pair, a
+    form of one sample that ``response_sensitivities`` takes as ``theta``.
     """
 
     rate: np.ndarray  # complex (B, n_dof + 1), as _ClosedForm.rate
@@ -525,36 +536,36 @@ def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoef
 
 
 def _modal_sensitivities(
-    model: ShearBuildingModel, theta: SystemParameters, times,
-    buffers: SensitivityBuffers | None = None, coefficients=None,
+    model: ShearBuildingModel, theta, times, buffers: SensitivityBuffers | None = None,
 ) -> np.ndarray:
     """Derivatives of the modal response, laid out (mode, parameter, time).
 
-    One batched matmul over modes, ``(n_dof, 5, 8) @ (n_dof, 8, n_times)``,
-    forms the time series from the sample's ``(rate, coef)`` pair of
-    ``sensitivity_coefficients`` (``coefficients``, computed here from
-    ``theta`` when left out).  Each output entry is a sum of ``K = 8``
+    ``theta`` is one sample, as in ``response_sensitivities``.  One batched
+    matmul over modes, ``(n_dof, 5, 8) @ (n_dof, 8, n_times)``, forms the
+    time series from the sample's ``(rate, coef)`` pair of
+    ``sensitivity_coefficients``.  Each output entry is a sum of ``K = 8``
     products within one mode, so a BLAS thread split can only divide the
     outputs between threads, never the sum behind one of them;
     ``tests/test_thread_invariance.py`` checks it at 4, 50 and 80 stories.
     Should that test fail on another CPU, the non-BLAS
     ``np.einsum("jpb,jbn->jpn", coef, bases)`` is the drop-in replacement.
     """
-    if coefficients is None:
-        block = sensitivity_coefficients(model, theta.as_array()[None])
-        coefficients = block.rate[0], block.coef[0]
+    if isinstance(theta, SystemParameters):
+        theta = tuple(c[0] for c in sensitivity_coefficients(model, theta.as_array()[None]))
     if buffers is None:
         buffers = sensitivity_buffers(model.n_dof, times)
-    rate, coef = coefficients
+    rate, coef = theta
     bases = _time_bases(rate, times, buffers)
     return np.matmul(coef, bases, out=buffers.modal)
 
 
 def response_sensitivities(
-    model: ShearBuildingModel, theta: SystemParameters, times,
-    *, buffers: SensitivityBuffers | None = None, coefficients=None,
+    model: ShearBuildingModel, theta, times, *, buffers: SensitivityBuffers | None = None,
 ) -> np.ndarray:
     """Derivatives of story displacements with respect to system parameters.
+
+    ``theta`` is one sample: a ``SystemParameters``, computed as a block
+    of one, or its ``(rate, coef)`` pair from ``sensitivity_coefficients``.
 
     The modal derivatives of ``_modal_sensitivities`` are mapped to stories
     by a gemm of the mode shapes ``(n_dof x n_dof)`` with the derivatives
@@ -570,11 +581,6 @@ def response_sensitivities(
     ``buffers`` (keyword only) are the ``SensitivityBuffers`` to write
     into; the result is then a view of ``buffers.story``, valid until the
     next call with the same buffers.  Left out, fresh ones are allocated.
-    ``coefficients`` (keyword only) is this sample's ``(rate, coef)`` pair
-    from a ``sensitivity_coefficients`` block that holds ``theta``'s row;
-    left out, it is computed from ``theta`` as a block of one.  Either way
-    the coefficients come from the same arithmetic, so the result is the
-    same to the bit.
 
     Returns
     -------
@@ -585,7 +591,7 @@ def response_sensitivities(
     """
     if buffers is None:
         buffers = sensitivity_buffers(model.n_dof, times)
-    dq = _modal_sensitivities(model, theta, times, buffers, coefficients)
+    dq = _modal_sensitivities(model, theta, times, buffers)
     n_dof = model.n_dof
     np.dot(model.eigenvectors, dq.reshape(n_dof, -1), out=buffers.story.reshape(n_dof, -1))
     return buffers.story.transpose(2, 0, 1)

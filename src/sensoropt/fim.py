@@ -7,14 +7,13 @@ the information matrix is ``Q(z) = sum_i z_i Q_i`` and the objective to
 minimize is the negated expected log-determinant over the prior,
 estimated by a sample mean with fixed summation order.
 
-Reductions across samples run in fixed sample order.  The BLAS-backed
-contractions are each in an orientation whose result was bitwise
-identical at 1, 2 and 8 BLAS threads at the sizes the tests check: every
-output entry is one short sum within one sample (or one mode), so a BLAS
-thread split can only divide the outputs between threads, never the sum
-behind one of them.  The mode-to-story gemm is the exception on short
-records: at 50 and 80 stories it is not thread-invariant at 100 and 300
-steps (README, "Determinism").
+The BLAS-backed contractions are each in an orientation whose result was
+bitwise identical at 1, 2 and 8 BLAS threads at the sizes the tests
+check: every output entry is one short sum within one sample (or one
+mode), so a BLAS thread split can only divide the outputs between
+threads, never the sum behind one of them.  The mode-to-story gemm is the
+exception on short records: at 50 and 80 stories it is not
+thread-invariant at 100 and 300 steps (README, "Determinism").
 
 - The elementary matrices take two passes per block of
   ``max(1, ROWS // n_dof)`` samples: ``building.sensitivity_coefficients``
@@ -47,10 +46,9 @@ steps (README, "Determinism").
 ``tests/test_thread_invariance.py`` checks all of them at benchmark sizes,
 and the outer products at one, two and three chunks.  It holds the modal
 contraction, the mode-to-story map and the assembly to the non-BLAS
-``einsum`` each docstring names as its fallback, and ``tests/test_fim.py``
-holds the outer products to theirs;
-``tests/test_fim.py`` keeps the two-``einsum`` whitening as the Newton
-step's fallback.
+``einsum`` each docstring names as its fallback.  ``tests/test_fim.py``
+holds the outer products to theirs, and keeps the two-``einsum``
+whitening as the Newton step's fallback.
 """
 
 from __future__ import annotations
@@ -254,7 +252,7 @@ def compute_elementary_set(
     ``building.sensitivity_coefficients`` call forms the modal constants
     and sensitivity coefficients of the whole block, then each sample's
     ``response_sensitivities`` builds its time bases, modal derivatives and
-    story map from its coefficients, and its outer products follow
+    story map from its ``(rate, coef)`` pair, and its outer products follow
     (``_outer_products``).  Samples run in order, and the result depends
     only on (model, samples, times).  Every sample's sensitivities are
     written into the same ``building.SensitivityBuffers``, allocated here
@@ -266,20 +264,15 @@ def compute_elementary_set(
     buffers = sensitivity_buffers(n_dof, times)
     block = max(1, ROWS // n_dof)
     for start in range(0, n_samples, block):
-        stop = min(start + block, n_samples)
-        # Range-check every row before the pass, as one sample at a time would.
-        thetas = [samples.parameters(k) for k in range(start, stop)]
-        block_coefficients = sensitivity_coefficients(model, samples.values[start:stop])
-        for k, theta, coefficients in zip(range(start, stop), thetas, zip(*block_coefficients)):
-            sens = response_sensitivities(
-                model, theta, times, buffers=buffers, coefficients=coefficients
-            )
+        coefficients = sensitivity_coefficients(model, samples.values[start:start + block])
+        for k, sample in enumerate(zip(*coefficients), start):
+            sens = response_sensitivities(model, sample, times, buffers=buffers)
             # The sensitivities are stored (story, parameter, time).
             _outer_products(sens.transpose(1, 2, 0), out[k])
         # A diagonal sums the squares of its story's sensitivities, so a
         # sample's matrices are finite exactly when all its sensitivities are
         # (and their squares do not overflow).  Checked once per block.
-        finite = np.isfinite(out[start:stop]).all(axis=(1, 2, 3))
+        finite = np.isfinite(out[start:start + block]).all(axis=(1, 2, 3))
         if not finite.all():
             k = start + int(np.argmin(finite))
             raise FloatingPointError(f"non-finite sensitivities for sample {k}")
@@ -287,12 +280,24 @@ def compute_elementary_set(
     return ElementaryFimSet(matrices=out)
 
 
-def check_sensor_vector(z, n_dof: int, budget: int | None = None,
-                        binary: bool = False) -> np.ndarray:
-    """Validate a placement vector against box, budget and binary constraints."""
+def check_budget(budget: int, n_dof: int) -> None:
+    """Reject a sensor count outside ``1 <= budget <= n_dof``."""
+    if not 1 <= budget <= n_dof:
+        raise ValueError(f"budget must satisfy 1 <= budget <= {n_dof}, got {budget}")
+
+
+def _as_placement(z, n_dof: int) -> np.ndarray:
+    """``z`` as a float array of shape (n_dof,); the objective's only check."""
     z = np.asarray(z, dtype=float)
     if z.shape != (n_dof,):
         raise ValueError(f"placement vector must have shape ({n_dof},), got {z.shape}")
+    return z
+
+
+def check_sensor_vector(z, n_dof: int, budget: int | None = None,
+                        binary: bool = False) -> np.ndarray:
+    """Validate a placement vector against box, budget and binary constraints."""
+    z = _as_placement(z, n_dof)
     # NaN would pass every comparison below.
     if not np.all(np.isfinite(z)):
         raise ValueError("placement entries must be finite")
@@ -330,13 +335,6 @@ def _cholesky_all(stack: np.ndarray, message: str = _NOT_PD) -> np.ndarray:
     return _StackFactor(stack).factor(message)
 
 
-def _check_z(z, fimset: ElementaryFimSet) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape != (fimset.n_dof,):
-        raise ValueError(f"z must have shape ({fimset.n_dof},), got {z.shape}")
-    return z
-
-
 def mc_objective(z, fimset: ElementaryFimSet) -> float:
     """Monte-Carlo placement objective, the negated mean log-determinant.
 
@@ -346,7 +344,7 @@ def mc_objective(z, fimset: ElementaryFimSet) -> float:
     assembled into the set's own stack and factored there, so calls on
     one set are not thread-safe.
     """
-    z = _check_z(z, fimset)
+    z = _as_placement(z, fimset.n_dof)
     work = fimset._work
     _assemble_all(z, fimset, out=work.flat)
     return -work.mean_logdet()
@@ -358,7 +356,7 @@ def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
     Defined for any PSD combination, including rank-deficient ones; used
     only as a documented fallback for degenerate configurations.
     """
-    z = _check_z(z, fimset)
+    z = _as_placement(z, fimset.n_dof)
     work = fimset._work
     _assemble_all(z, fimset, out=work.flat)
     work.diagonal += eps
@@ -408,7 +406,7 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     docstring; ``whitened_elements_einsum`` in ``tests/test_fim.py`` is the
     non-BLAS fallback for the whitening.
     """
-    z = _check_z(z, fimset)
+    z = _as_placement(z, fimset.n_dof)
     n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
     work = fimset._work
     _assemble_all(z, fimset, out=work.flat)

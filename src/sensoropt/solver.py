@@ -50,6 +50,7 @@ import numpy as np
 from .fim import (
     CountingEvaluator,
     ElementaryFimSet,
+    check_budget,
     check_sensor_vector,
     mc_objective,
     preflight_check,
@@ -193,8 +194,7 @@ def solve_relaxed(
         line search fails; the trace is attached.
     """
     n = fimset.n_dof
-    if not 1 <= budget <= n:
-        raise ValueError(f"budget must satisfy 1 <= budget <= {n}, got {budget}")
+    check_budget(budget, n)
     preflight_check(fimset)
 
     evaluator = CountingEvaluator(fimset)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -6,10 +8,12 @@ from scipy.linalg import eigh_tridiagonal
 from sensoropt import (
     PARAMETER_NAMES,
     building,
+    SampleSet,
     SystemParameters,
     TimeGrid,
     UnsupportedDampingError,
     build_uniform_shear_model,
+    compute_elementary_set,
     default_prior,
     modal_constants,
     modal_response,
@@ -33,12 +37,33 @@ def _ode_mode(wj, zj, aj, w, t_end, t_eval):
     )
 
 
+# A value outside each parameter's range; NaN is outside every one.
+OUT_OF_RANGE = {"omega0": -6.28, "alpha": -0.1, "beta": -1e-4, "omega": -6.28, "a0": math.inf}
+
+
 class TestSystemParameters:
     @pytest.mark.parametrize("name", PARAMETER_NAMES)
     def test_nan_rejected(self, name):
-        values = dict(zip(PARAMETER_NAMES, PRIOR_MEANS.as_array()), **{name: float("nan")})
-        with pytest.raises(ValueError, match=f"^{name} must be"):
-            SystemParameters(**values)
+        # One range rule for a row and for a block: a bad row in the middle
+        # of a block is reported as SystemParameters reports it alone, and
+        # a later row that fails on an earlier parameter is not.
+        model = build_uniform_shear_model(4)
+        block = sample_prior(default_prior(), 9, seed=2).values.copy()
+        block[6, 0] = -1.0
+        for bad in (math.nan, OUT_OF_RANGE[name]):
+            row = dict(zip(PARAMETER_NAMES, PRIOR_MEANS.as_array()), **{name: bad})
+            with pytest.raises(ValueError, match=f"^{name} must be") as alone:
+                SystemParameters(**row)
+            block[4] = list(row.values())
+            samples = SampleSet(values=block, seed=2)
+            for path in (
+                lambda: modal_constants(model, block),
+                lambda: building.sensitivity_coefficients(model, block),
+                lambda: compute_elementary_set(model, samples, TimeGrid(10, 0.01)),
+            ):
+                with pytest.raises(ValueError) as in_block:
+                    path()
+                assert str(in_block.value) == str(alone.value)
 
 
 class TestBuildUniformShearModel:

@@ -1,5 +1,6 @@
 """The README's schema and headline counts stay true, and the demos runnable."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -25,15 +26,29 @@ def test_readme_schema_block_validates():
     assert set(raw) == {f.name for f in dataclasses.fields(RunConfig)}
 
 
+def _search(words: str, text: str) -> tuple[int, ...]:
+    match = re.search(words.replace(" ", r"\s+"), text, re.S)
+    assert match, f"sentence missing: {words}"
+    return tuple(map(int, match.groups()))
+
+
 def test_readme_headline_counts_match_the_committed_run():
+    # README's headline sentence and demo 03's docstring quote the counts
+    # of the committed 50-story run.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    words = (
+    total, solve, repair, ambiguous = _search(
         r"with (\d+) objective evaluations, .*?: (\d+) in the interior-point solve"
-        r" and (\d+) in the repair, which enumerates the (\d+) ambiguous stories"
+        r" and (\d+) in the repair, which enumerates the (\d+) ambiguous stories",
+        readme,
     )
-    match = re.search(words.replace(" ", r"\s+"), readme, re.S)
-    assert match, "README's headline sentence is missing"
-    total, solve, repair, ambiguous = map(int, match.groups())
+    demo = ast.get_docstring(ast.parse(
+        (ROOT / "demos" / "03_fifty_story_study.py").read_text(encoding="utf-8")
+    ))
+    demo_counts = _search(
+        r"takes (\d+) objective evaluations and the repair of its rounding (\d+) more,"
+        r" (\d+) in all",
+        demo,
+    )
     report = json.loads(
         (ROOT / "runs" / "fifty-story" / "report.json").read_text(encoding="utf-8")
     )
@@ -45,6 +60,7 @@ def test_readme_headline_counts_match_the_committed_run():
         placement["objective_evaluations"],
         len(placement["ambiguous_stories"]),
     )
+    assert demo_counts == (solve, repair, total)
 
 
 @pytest.mark.parametrize(
