@@ -29,22 +29,27 @@ at once; a single ``SystemParameters`` is a block of one, so every caller
 shares that arithmetic.  ``response_sensitivities`` then turns one
 sample's coefficients into time series: it builds the time bases, on a
 ``TimeGrid`` from two short tables per row (``_damped_bases``), one row
-per mode for the damped bases and one more, with the rate ``i w``, for
-the forcing's ``sin(w t)`` and ``cos(w t)``, so no sine or cosine runs
-over the record.  An arbitrary time array is evaluated directly, and
+for the forcing's ``sin(w t)`` and ``cos(w t)``, with the rate ``i w``,
+and one per mode for the damped bases, so no sine or cosine runs over the
+record.  An arbitrary time array is evaluated directly, and
 ``tests/test_building.py`` holds the two paths together.  The grid's time
 vectors are computed once per ``TimeGrid``.  Two BLAS-backed contractions
 follow: a batched matmul over modes that forms the modal derivatives from
-their coefficients (``K = 8``, ``_modal_sensitivities``), and a gemm that
-maps them to stories (``M = K = n_dof``).  Each is in an orientation whose
-result was bitwise identical at 1, 2 and 8 BLAS threads on records of
-1000 steps; ``tests/test_thread_invariance.py`` checks both at benchmark
+their coefficients (``K = 8``, ``_modal_sensitivities``), one group of
+modes at a time (``BASES_FLOATS``), and a gemm that maps them to stories
+(``M = K = n_dof``).  The batched matmul is in an orientation whose
+result was bitwise identical at 1, 2 and 8 BLAS threads; the gemm was on
+records of 1000 steps, but not at 50 and 80 stories on 100, 300 or 1001
+steps, so the elementary-matrix stage runs it with the BLAS pinned to one
+thread.  ``tests/test_thread_invariance.py`` checks both at benchmark
 sizes and holds each to the non-BLAS ``einsum`` its docstring names as
 the fallback.  The second pass writes into ``SensitivityBuffers``, which
 the elementary-matrix stage (``fim.compute_elementary_set``, in blocks of
-``fim.ROWS`` mode-rows) allocates once for all samples, and returns the
-sensitivities as a view of a story-major (story, parameter, time) array,
-the layout in which the stage takes their outer products.
+``fim.ROWS`` mode-rows) allocates once per thread, with two pairs of
+stages sharing memory (4 MB at 50 stories on 1000 steps, where the
+stages apart would take 8), and returns the sensitivities as a view of a
+story-major (story, parameter, time) array, the layout in which the stage
+takes their outer products.
 """
 
 from __future__ import annotations
@@ -87,15 +92,17 @@ class SystemParameters:
 def _check_ranges(rows: np.ndarray) -> None:
     """Reject parameter rows, shape (B, 5), with a value outside its range.
 
-    NaN fails every check.  The error names the first failing row's first
-    failing parameter in the order below, as for that row on its own.
+    Every parameter must be finite, so NaN and infinities fail every
+    check.  The error names the first failing row's first failing
+    parameter in the order below, as for that row on its own.
     """
     omega0, alpha, beta, omega, a0 = rows.T
+    inf = math.inf
     checks = (
-        ("omega0", "positive", omega0, omega0 > 0),
-        ("omega", "positive", omega, omega > 0),
-        ("alpha", "non-negative", alpha, alpha >= 0),
-        ("beta", "non-negative", beta, beta >= 0),
+        ("omega0", "positive and finite", omega0, (omega0 > 0) & (omega0 < inf)),
+        ("omega", "positive and finite", omega, (omega > 0) & (omega < inf)),
+        ("alpha", "non-negative and finite", alpha, (alpha >= 0) & (alpha < inf)),
+        ("beta", "non-negative and finite", beta, (beta >= 0) & (beta < inf)),
         ("a0", "finite", a0, np.isfinite(a0)),
     )
     valid = np.logical_and.reduce([ok for *_, ok in checks])
@@ -311,23 +318,31 @@ class _ClosedForm(NamedTuple):
     def rate(self) -> np.ndarray:
         """Complex rates of the time bases, shape (B, n_dof + 1): see ``_damped_bases``.
 
-        Column ``j < n_dof`` is mode ``j``'s ``-zeta_j w_j + i wd_j``; the
-        last column is the forcing's ``i w``, exactly ``0 + i w``.
+        Column 0 is the forcing's ``i w``, exactly ``0 + i w``; column
+        ``j + 1`` is mode ``j``'s ``-zeta_j w_j + i wd_j``.
         """
-        return np.concatenate([-self.zj * self.wj + 1j * self.wd, 1j * self.w], axis=1)
+        return np.concatenate([1j * self.w, -self.zj * self.wj + 1j * self.wd], axis=1)
 
 
 class SensitivityBuffers(NamedTuple):
     """Arrays that ``response_sensitivities`` writes its stages into.
 
-    ``compute_elementary_set`` allocates them once and passes them to every
-    sample's call, so the per-sample arrays are neither allocated nor
-    page-faulted afresh; every other caller leaves them out and gets fresh
-    ones.  Each call rewrites all four before it reads them.
+    ``compute_elementary_set`` allocates them once per thread and passes
+    them to every sample's call there, so the per-sample arrays are neither
+    allocated nor page-faulted afresh; every other caller leaves them out
+    and gets fresh ones.  Each call rewrites all of them before it reads
+    them.  Two pairs of them share memory, each pair used one after the
+    other: ``damped`` is the start of ``modal``'s memory and ``bases`` the
+    start of ``story``'s.  The bases are built, and the modal derivatives
+    formed from them, for one group of modes at a time, the last group
+    first (``_grouped_bases``).  So the table rows a group still needs, the
+    forcing row and those of the modes before it, lie below the modal rows
+    that the groups after it write, and the story map overwrites the bases
+    only once every group is done.
     """
 
-    damped: np.ndarray  # complex (n_dof + 1, table length), see _damped_bases
-    bases: np.ndarray  # (n_dof, 8, n_times), from _time_bases
+    damped: np.ndarray  # complex (n_dof + 1, table length), from _damped_bases
+    bases: np.ndarray  # (group, 8, n_times), one group's _time_bases
     modal: np.ndarray  # (n_dof, 5, n_times), as from _modal_sensitivities
     story: np.ndarray  # (n_dof, 5, n_times), story-major sensitivities
 
@@ -349,29 +364,47 @@ def _grid_split(n_steps: int) -> tuple[int, int]:
     return n_steps // fine + 1, fine
 
 
+# Floats of time bases built in one pass, 1.6 MB: 25 modes on 1000 steps,
+# so that the 50-story building takes two groups of modes and the 4-story
+# building or a 100-step record one.
+BASES_FLOATS = 200_000
+
+
 def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
-    """Uninitialized ``SensitivityBuffers`` for ``n_dof`` stories on ``times``."""
+    """Uninitialized ``SensitivityBuffers`` for ``n_dof`` stories on ``times``.
+
+    A group holds ``BASES_FLOATS // (8 n_times)`` modes, at least one.
+    """
     if isinstance(times, TimeGrid):
         n_times = times.n_steps
         table = math.prod(_grid_split(n_times))
     else:
         n_times = table = _as_times(times).size
+    group = min(n_dof, max(1, BASES_FLOATS // (8 * n_times)))
+    size = N_PARAMS * n_dof * n_times
+    # Each shared memory is as large as the larger of its pair.  A group
+    # starting at mode s > 0 writes modal floats from 5 n_times s on, above
+    # the 2 table (s + 1) floats of table rows still needed: the table is
+    # at most n_times + sqrt(n_times) + 1 long, and s >= 2 unless a group
+    # holds one mode, which needs more than 12,500 steps.
+    modal = np.empty(max(size, 2 * table * (n_dof + 1)))
+    story = np.empty(max(size, 8 * group * n_times))
     return SensitivityBuffers(
-        damped=np.empty((n_dof + 1, table), dtype=complex),
-        bases=np.empty((n_dof, 8, n_times)),
-        modal=np.empty((n_dof, N_PARAMS, n_times)),
-        story=np.empty((n_dof, N_PARAMS, n_times)),
+        damped=modal[: 2 * table * (n_dof + 1)].view(complex).reshape(n_dof + 1, table),
+        bases=story[: 8 * group * n_times].reshape(group, 8, n_times),
+        modal=modal[:size].reshape(n_dof, N_PARAMS, n_times),
+        story=story[:size].reshape(n_dof, N_PARAMS, n_times),
     )
 
 
 def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
     """``exp(rate_r t)`` for each complex rate of one sample, shape (n_dof + 1, n_times).
 
-    ``rate`` is the sample's row of ``_ClosedForm.rate``: row ``j < n_dof``
-    is mode ``j``'s ``-zeta_j w_j + i wd_j``, whose imaginary and real
-    parts are the damped bases ``e sin(wd_j t)`` and ``e cos(wd_j t)``, and
-    the last row is the forcing's ``i w``, whose parts are ``sin(w t)`` and
-    ``cos(w t)``.  On a ``TimeGrid`` each step is written ``n = a m + b``
+    ``rate`` is the sample's row of ``_ClosedForm.rate``: row 0 is the
+    forcing's ``i w``, whose imaginary and real parts are ``sin(w t)`` and
+    ``cos(w t)``, and row ``j + 1`` is mode ``j``'s ``-zeta_j w_j + i
+    wd_j``, whose parts are the damped bases ``e sin(wd_j t)`` and ``e
+    cos(wd_j t)``.  On a ``TimeGrid`` each step is written ``n = a m + b``
     with ``m = isqrt(n_steps) + 1``, and ``exp(rate t_n)`` is the product of
     a coarse table over ``a m dt`` and a fine table over ``b dt``
     (``TimeGrid.table_times``): about ``2 sqrt(n_steps)`` complex
@@ -392,19 +425,18 @@ def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
     return out[:, 1 : times.n_steps + 1]
 
 
-def _time_bases(rate: np.ndarray, times, buffers: SensitivityBuffers) -> np.ndarray:
-    """The eight time bases of ``_ClosedForm`` for one sample, shape (n_dof, 8, n_times).
+def _time_bases(table: np.ndarray, modes: slice, times, buffers: SensitivityBuffers) -> np.ndarray:
+    """The eight time bases of ``_ClosedForm`` for the modes ``modes``, shape (group, 8, n_times).
 
-    ``rate`` is the sample's row of ``_ClosedForm.rate``.  All four bases
-    0 to 3 are parts of ``_damped_bases``' table: the damped pair from
-    each mode's row, and the forcing pair from the last row, broadcast
-    over the modes, so no sine or cosine is taken over the record.  Bases
-    4 to 7 are then ``t`` times bases 0 to 3, in one multiply.  The bases
-    are written into ``buffers.bases``.
+    ``table`` is the sample's ``_damped_bases``.  All four bases 0 to 3
+    are parts of it: the damped pair from each mode's row, and the forcing
+    pair from the forcing row, broadcast over the modes, so no sine or
+    cosine is taken over the record.  Bases 4 to 7 are then ``t`` times
+    bases 0 to 3, in one multiply.  The bases are written into
+    ``buffers.bases``.
     """
-    table = _damped_bases(rate, times, buffers.damped)
-    damped, forcing = table[:-1], table[-1]
-    bases = buffers.bases
+    damped, forcing = table[1:][modes], table[0]
+    bases = buffers.bases[: damped.shape[0]]
     bases[:, 0] = damped.imag
     bases[:, 1] = damped.real
     bases[:, 2] = forcing.imag
@@ -414,6 +446,22 @@ def _time_bases(rate: np.ndarray, times, buffers: SensitivityBuffers) -> np.ndar
     # from the table at 4 and 50 stories.
     np.multiply(bases[:, :4], _as_times(times), out=bases[:, 4:])
     return bases
+
+
+def _grouped_bases(rate: np.ndarray, times, buffers: SensitivityBuffers):
+    """Yield ``(modes, bases)`` for each group of modes of one sample, the last group first.
+
+    ``rate`` is the sample's row of ``_ClosedForm.rate``; its
+    ``_damped_bases`` are taken once, then each group's ``_time_bases``.
+    ``modes`` is the group's slice of the modes, and its bases are valid
+    until the next group's are yielded.  Why the groups run last first is
+    in ``SensitivityBuffers``.
+    """
+    table = _damped_bases(rate, times, buffers.damped)
+    group = buffers.bases.shape[0]
+    for start in reversed(range(0, rate.size - 1, group)):
+        modes = slice(start, start + group)
+        yield modes, _time_bases(table, modes, times, buffers)
 
 
 def _closed_form(model: ShearBuildingModel, rows: np.ndarray) -> _ClosedForm:
@@ -450,8 +498,12 @@ def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) ->
         Modal coordinate histories, one column per mode.
     """
     cf = _closed_form(model, theta.as_array()[None])
-    bases = _time_bases(cf.rate[0], times, sensitivity_buffers(model.n_dof, times))
-    return np.einsum("bj,jbn->nj", cf.bracket[:, 0] * (cf.aj[0] / cf.denom[0]), bases[:, :4])
+    weights = cf.bracket[:, 0] * (cf.aj[0] / cf.denom[0])
+    buffers = sensitivity_buffers(model.n_dof, times)
+    q = np.empty((buffers.modal.shape[-1], model.n_dof))
+    for modes, bases in _grouped_bases(cf.rate[0], times, buffers):
+        q[:, modes] = np.einsum("bj,jbn->nj", weights[:, modes], bases[:, :4])
+    return q
 
 
 def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
@@ -555,8 +607,9 @@ def _modal_sensitivities(
     if buffers is None:
         buffers = sensitivity_buffers(model.n_dof, times)
     rate, coef = theta
-    bases = _time_bases(rate, times, buffers)
-    return np.matmul(coef, bases, out=buffers.modal)
+    for modes, bases in _grouped_bases(rate, times, buffers):
+        np.matmul(coef[modes], bases, out=buffers.modal[modes])
+    return buffers.modal
 
 
 def response_sensitivities(
@@ -573,10 +626,13 @@ def response_sensitivities(
     result is bitwise identical at 1, 2 and 8 threads of OpenBLAS 0.3.31
     (Haswell kernels) on records of 1000 steps, whereas folding the map
     into the bases, one gemm ``(time x 8 n_dof) @ (8 n_dof x 5 stories)``,
-    is not at 50 stories.  ``tests/test_thread_invariance.py`` checks the
-    map at 4, 50 and 80 stories.  Should that test fail on another CPU,
-    the non-BLAS ``np.einsum("ij,jpn->ipn", model.eigenvectors, dq)`` is
-    the drop-in replacement for the ``np.dot``.
+    is not at 50 stories.  On records of 100, 300 and 1001 steps this
+    orientation is not thread-invariant either at 50 and 80 stories, so
+    ``fim.compute_elementary_set`` calls it with the BLAS pinned to one
+    thread.  ``tests/test_thread_invariance.py`` checks the map at 4, 50
+    and 80 stories.  Should that test fail on another CPU, the non-BLAS
+    ``np.einsum("ij,jpn->ipn", model.eigenvectors, dq)`` is the drop-in
+    replacement for the ``np.dot``.
 
     ``buffers`` (keyword only) are the ``SensitivityBuffers`` to write
     into; the result is then a view of ``buffers.story``, valid until the

@@ -11,9 +11,8 @@ The BLAS-backed contractions are each in an orientation whose result was
 bitwise identical at 1, 2 and 8 BLAS threads at the sizes the tests
 check: every output entry is one short sum within one sample (or one
 mode), so a BLAS thread split can only divide the outputs between
-threads, never the sum behind one of them.  The mode-to-story gemm is the
-exception on short records: at 50 and 80 stories it is not
-thread-invariant at 100 and 300 steps (README, "Determinism").
+threads, never the sum behind one of them.  The elementary stage does
+not rely on that: it pins the BLAS to one thread while it runs.
 
 - The elementary matrices take two passes per block of
   ``max(1, ROWS // n_dof)`` samples: ``building.sensitivity_coefficients``
@@ -21,12 +20,18 @@ thread-invariant at 100 and 300 steps (README, "Determinism").
   ``building.response_sensitivities`` runs per sample, with a batched
   matmul over modes (``K = 8``) and the mode-to-story gemm
   (``M = K = n_dof``).  Each sample's coefficients are the same bits in
-  any block, so the result does not depend on ``ROWS``.
+  any block, so the result does not depend on ``ROWS``.  The gemm is not
+  thread-invariant on short records (on two threads it gave other bits
+  at 50 and 80 stories on 100, 300 and 1001 steps), which is why
+  ``compute_elementary_set`` pins the BLAS to one thread; with the BLAS
+  pinned, it shares the blocks out between Python threads, one per core,
+  once the per-sample work reaches ``THREAD_WORK``.
 - ``_outer_products`` takes each sample's ``Q_i`` with ``np.vecdot``, one
   BLAS ddot along time per entry.  The exception to "one short sum" is
   here: a ddot is one long sum, and OpenBLAS splits a ddot of more than
   10,000 elements between threads.  So each dot covers at most
-  ``OUTER_CHUNK`` steps, and the chunks are added in order.
+  ``OUTER_CHUNK`` steps, and the chunks are added in order; the chunks
+  keep the dots on one thread also where no BLAS pin is found.
 - ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
   the Newton step need it, with one gemv over stories: ``z`` times the
   set's entry-major copy ``entries`` of shape (n_dof, 25 n_samples), so
@@ -44,7 +49,8 @@ thread-invariant at 100 and 300 steps (README, "Determinism").
   summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
 
 ``tests/test_thread_invariance.py`` checks all of them at benchmark sizes,
-and the outer products at one, two and three chunks.  It holds the modal
+the stage's sensitivities on records of 7 to 1001 steps, and the outer
+products at one, two and three chunks.  It holds the modal
 contraction, the mode-to-story map and the assembly to the non-BLAS
 ``einsum`` each docstring names as its fallback.  ``tests/test_fim.py``
 holds the outer products to theirs, and keeps the two-``einsum``
@@ -53,13 +59,18 @@ whitening as the Newton step's fallback.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .building import (
-    N_PARAMS, ShearBuildingModel, response_sensitivities, sensitivity_buffers,
-    sensitivity_coefficients,
+    N_PARAMS, SensitivityBuffers, ShearBuildingModel, response_sensitivities,
+    sensitivity_buffers, sensitivity_coefficients,
 )
 from .priors import SampleSet
 
@@ -243,6 +254,97 @@ def _outer_products(story_major: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+# Per-sample work, ``n_dof * n_steps``, from which the elementary stage
+# shares its blocks out between threads.  Below it the Python and numpy
+# call overhead, which holds the GIL, outweighs a second thread.  On two
+# cores, one thread against two: 4 stories x 1000 steps 128 vs 143 ms
+# (1000 samples), 20 x 300 82 vs 87 ms, 8 x 1000 even, 80 x 100 64 vs
+# 54 ms, and 50 x 1000 237 vs 138 ms (100 samples).
+THREAD_WORK = 8_000
+
+# BLAS thread-count controls, tried in order: (set, get).
+_BLAS_THREAD_SYMBOLS = tuple(
+    (f"{prefix}set_num_threads{suffix}", f"{prefix}get_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+)
+
+
+@functools.cache
+def _blas_thread_control():
+    """``(set, get)`` of the thread count of the BLAS numpy calls, or None.
+
+    Looked up once per process, at first use, among the symbols that
+    numpy's core extension module resolves (its own and its libraries'),
+    so it is the BLAS that numpy's matmul calls.  None where no OpenBLAS
+    control is found, for example with MKL or Accelerate.
+    """
+    try:
+        library = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for set_name, get_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(library, set_name), getattr(library, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin the BLAS to one thread, restoring its count on exit; yields whether it could."""
+    control = _blas_thread_control()
+    if control is None:
+        yield False
+        return
+    set_threads, get_threads = control
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(before)
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _BlockQueue:
+    """Sample blocks of the elementary stage, handed out in order to its threads.
+
+    A failed block ends the hand-out of later blocks, but every earlier
+    block has already been handed out and is finished, so ``error`` ends
+    as the error of the lowest failing block: the one the stage raises
+    when it runs its blocks in order on one thread.
+    """
+
+    def __init__(self, n_blocks: int):
+        self._lock = threading.Lock()
+        self._next = 0
+        self._end = n_blocks  # the lowest failed block, or n_blocks
+        self.error: BaseException | None = None
+
+    def take(self) -> int | None:
+        with self._lock:
+            if self._next >= self._end:
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def fail(self, index: int, error: BaseException) -> None:
+        with self._lock:
+            if index < self._end:
+                self._end, self.error = index, error
+
+
 def compute_elementary_set(
     model: ShearBuildingModel, samples: SampleSet, times
 ) -> ElementaryFimSet:
@@ -253,17 +355,30 @@ def compute_elementary_set(
     and sensitivity coefficients of the whole block, then each sample's
     ``response_sensitivities`` builds its time bases, modal derivatives and
     story map from its ``(rate, coef)`` pair, and its outer products follow
-    (``_outer_products``).  Samples run in order, and the result depends
-    only on (model, samples, times).  Every sample's sensitivities are
-    written into the same ``building.SensitivityBuffers``, allocated here
-    once.  A block whose matrices are not all finite raises
-    ``FloatingPointError`` naming its first such sample.
+    (``_outer_products``).  A block whose matrices are not all finite
+    raises ``FloatingPointError`` naming its first such sample.
+
+    The BLAS is pinned to one thread for the stage and its thread count
+    restored afterwards, so every contraction runs on one thread whatever
+    the environment asks for.  Where the per-sample work ``n_dof * n_steps``
+    is at least ``THREAD_WORK``, one thread per core takes the blocks in
+    turn from a shared queue; each writes only its own samples' matrices,
+    into sensitivity buffers of its own, and a sample's bits do not depend
+    on the thread that computes it.  Below that work, on one core, or where
+    no BLAS thread control is found, the blocks run in order in the calling
+    thread.  Either way the result depends only on (model, samples, times),
+    and an error is the one of the first failing sample.  The pin holds for
+    the whole process, so stages run at the same time from two threads of
+    the caller's may leave the BLAS on one thread.
     """
     n_samples, n_dof = samples.n_samples, model.n_dof
     out = np.empty((n_samples, n_dof, N_PARAMS, N_PARAMS))
-    buffers = sensitivity_buffers(n_dof, times)
     block = max(1, ROWS // n_dof)
-    for start in range(0, n_samples, block):
+    n_blocks = -(-n_samples // block)
+    queue = _BlockQueue(n_blocks)
+
+    def fill(index: int, buffers: SensitivityBuffers) -> None:
+        start = index * block
         coefficients = sensitivity_coefficients(model, samples.values[start:start + block])
         for k, sample in enumerate(zip(*coefficients), start):
             sens = response_sensitivities(model, sample, times, buffers=buffers)
@@ -276,6 +391,34 @@ def compute_elementary_set(
         if not finite.all():
             k = start + int(np.argmin(finite))
             raise FloatingPointError(f"non-finite sensitivities for sample {k}")
+
+    def work(buffers: SensitivityBuffers) -> None:
+        while (index := queue.take()) is not None:
+            try:
+                fill(index, buffers)
+            except BaseException as error:
+                # Kept and raised below, after every thread has stopped: an
+                # exception left to end a thread would lose its block.
+                queue.fail(index, error)
+
+    buffers = sensitivity_buffers(n_dof, times)
+    with _one_blas_thread() as pinned:
+        n_threads = 1
+        if pinned and n_dof * buffers.story.shape[-1] >= THREAD_WORK:
+            n_threads = min(_cores(), n_blocks)
+        helpers = [
+            threading.Thread(target=work, args=(sensitivity_buffers(n_dof, times),))
+            for _ in range(n_threads - 1)
+        ]
+        for helper in helpers:
+            helper.start()
+        try:
+            work(buffers)
+        finally:
+            for helper in helpers:
+                helper.join()
+    if queue.error is not None:
+        raise queue.error
     out.setflags(write=False)
     return ElementaryFimSet(matrices=out)
 

@@ -3,6 +3,9 @@ import dataclasses
 import itertools
 import math
 import pickle
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -212,6 +215,135 @@ class TestElementaryMatrices:
         eigs = np.linalg.eigvalsh(m.reshape(-1, 5, 5))
         traces = np.einsum("qpp->q", m.reshape(-1, 5, 5))
         assert np.all(eigs[:, 0] >= -1e-10 * traces)
+
+
+def _stage(monkeypatch, model, samples, grid, threaded: bool) -> ElementaryFimSet:
+    """The elementary stage on three threads whatever the record, or on one."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fim, "THREAD_WORK", 0 if threaded else math.inf)
+        patch.setattr(fim, "_cores", lambda: 3)
+        return compute_elementary_set(model, samples, grid)
+
+
+# Underdamped in every mode at 80 stories.
+_TALL_PRIOR = dataclasses.replace(default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15))
+
+
+@pytest.fixture
+def blas_control():
+    """The BLAS thread control; without one the stage never uses threads."""
+    control = fim._blas_thread_control()
+    if control is None:
+        pytest.skip("no BLAS thread control: the elementary stage runs serially")
+    return control
+
+
+class TestThreadedStage:
+    @pytest.mark.parametrize("n_dof, n_samples", [(4, 700), (50, 52), (80, 31)])
+    def test_matches_the_serial_stage(self, monkeypatch, blas_control, n_dof, n_samples):
+        # Three threads whatever the core count, with at least three blocks
+        # each, the last one short, switching as often as they can; a block
+        # lost, or written into another block's rows, would show.
+        assert -(-n_samples // max(1, fim.ROWS // n_dof)) >= 9
+        model = build_uniform_shear_model(n_dof)
+        samples = sample_prior(_TALL_PRIOR, n_samples, seed=9)
+        grid = TimeGrid(120, 0.01)
+        exact = fim.response_sensitivities
+        threads = set()
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return exact(*args, **kwargs)
+
+        serial = _stage(monkeypatch, model, samples, grid, threaded=False).matrices
+        monkeypatch.setattr(fim, "response_sensitivities", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _stage(monkeypatch, model, samples, grid, threaded=True).matrices
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1
+        np.testing.assert_array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("fault", ["non-finite", "nan row", "overdamped"])
+    def test_error_of_the_first_failing_sample(self, monkeypatch, blas_control, fault):
+        # Blocks of 5 samples at 50 stories.  Sample 23 (block 4) has the
+        # fault, and sample 41 (block 8) non-finite sensitivities.  Block 4
+        # starts 50 ms late, so block 8 fails first, and the stage still
+        # raises the serial stage's error, for sample 23.  The spoiled samples are
+        # keyed by their values: the threads take them in no fixed order.
+        model = build_uniform_shear_model(50)
+        values = sample_prior(default_prior(), 50, seed=11).values.copy()
+        spoiled = [values[41].copy()]
+        if fault == "non-finite":
+            spoiled.append(values[23].copy())
+        elif fault == "nan row":
+            values[23, 2] = np.nan
+        else:
+            values[23] = [1.0, 10.0, 0.0, 1.0, 1.0]
+        coefficients, exact = fim.sensitivity_coefficients, fim.response_sensitivities
+        spoiled_rates = coefficients(model, np.array(spoiled)).rate
+
+        def late(model, rows):
+            if any(np.array_equal(row, values[23], equal_nan=True) for row in rows):
+                time.sleep(0.05)
+            return coefficients(model, rows)
+
+        def spoiling(model, theta, times, **kwargs):
+            sens = exact(model, theta, times, **kwargs)
+            if any(np.array_equal(theta[0], rate) for rate in spoiled_rates):
+                sens[2, 1, 0] = np.nan
+            return sens
+
+        monkeypatch.setattr(fim, "sensitivity_coefficients", late)
+        monkeypatch.setattr(fim, "response_sensitivities", spoiling)
+        samples, grid = SampleSet(values=values, seed=11), TimeGrid(50, 0.01)
+        with pytest.raises(Exception) as serial:
+            _stage(monkeypatch, model, samples, grid, threaded=False)
+        with pytest.raises(Exception) as threaded:
+            _stage(monkeypatch, model, samples, grid, threaded=True)
+        expected = {
+            "non-finite": (FloatingPointError, "non-finite sensitivities for sample 23"),
+            "nan row": (ValueError, "beta must be non-negative and finite, got nan"),
+            "overdamped": (UnsupportedDampingError, "mode 1 has damping ratio"),
+        }[fault]
+        assert type(serial.value) is expected[0]
+        assert str(serial.value).startswith(expected[1])
+        assert type(threaded.value) is type(serial.value)
+        assert str(threaded.value) == str(serial.value)
+
+    def test_blas_thread_count_is_restored(self, monkeypatch, blas_control):
+        # One BLAS thread inside the stage, the caller's count after it,
+        # also when the stage raises.
+        set_threads, get_threads = blas_control
+        model = build_uniform_shear_model(50)
+        samples = sample_prior(default_prior(), 12, seed=2)
+        values = samples.values.copy()
+        values[7, 0] = -1.0
+        bad = SampleSet(values=values, seed=2)
+        grid = TimeGrid(40, 0.01)
+        exact = fim.response_sensitivities
+        inside = []
+
+        def recorded(*args, **kwargs):
+            inside.append(get_threads())
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(fim, "response_sensitivities", recorded)
+        before = get_threads()
+        try:
+            set_threads(2)
+            caller = get_threads()
+            for threaded in (False, True):
+                _stage(monkeypatch, model, samples, grid, threaded)
+                assert get_threads() == caller
+                with pytest.raises(ValueError, match="^omega0 must be"):
+                    _stage(monkeypatch, model, bad, grid, threaded)
+                assert get_threads() == caller
+        finally:
+            set_threads(before)
+        assert set(inside) == {1}
 
 
 class TestAssembleQ:

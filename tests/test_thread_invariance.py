@@ -50,6 +50,7 @@ from sensoropt import (
     Marginal, SystemParameters, TimeGrid, build_uniform_shear_model, compute_elementary_set,
     default_prior, mc_gradient_hessian, mc_objective, response_sensitivities, sample_prior,
 )
+from sensoropt import fim
 from sensoropt.fim import ElementaryFimSet, _outer_products
 from sensoropt.solver import _newton_direction
 
@@ -106,6 +107,37 @@ for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
 tall_prior = dataclasses.replace(default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15))
 sets[80] = compute_elementary_set(build_uniform_shear_model(80), sample_prior(tall_prior, 10, 2), grid)
 
+# The sensitivities as the elementary stage computes them, with the BLAS
+# pinned to one thread: on 100 and 300 steps the mode-to-story gemm gives
+# other bits on two threads than on one.
+exact = fim.response_sensitivities
+stage = []
+
+
+def recorded(model, theta, times, **kwargs):
+    sens = exact(model, theta, times, **kwargs)
+    stage.append(digest(sens))
+    return sens
+
+
+fim.response_sensitivities = recorded
+for n_dof, prior in ((50, default_prior()), (80, tall_prior)):
+    for n_steps in (7, 100, 300, 1000, 1001):
+        stage.clear()
+        compute_elementary_set(
+            build_uniform_shear_model(n_dof), sample_prior(prior, 2, seed=3),
+            TimeGrid(n_steps, 0.01),
+        )
+        digests[f"stage sensitivities, {n_dof} stories x {n_steps} steps"] = "".join(stage)
+fim.response_sensitivities = exact
+# Four blocks of five samples, which the stage shares out between threads
+# wherever it has two cores.
+digests["elementary matrices, 50 stories x 20 samples"] = digest(
+    compute_elementary_set(
+        build_uniform_shear_model(50), sample_prior(default_prior(), 20, seed=4), grid
+    ).matrices
+)
+
 # The assembly gemv has 25 n_samples outputs, so its split between threads
 # changes with the sample count: the paper's 50 x 1000 and the tall
 # building's 80 x 100.  The split depends on the shape only, so the sets
@@ -132,14 +164,19 @@ print(json.dumps(digests))
 """
 
 
-def _digests(threads: str) -> dict:
+def _environment(threads: str) -> dict:
     env = dict(os.environ)
     for var in THREAD_VARS:
         env[var] = threads
     src = str(Path(sensoropt.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _digests(threads: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", DIGEST_SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, "-c", DIGEST_SCRIPT], capture_output=True, text=True,
+        env=_environment(threads),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -148,10 +185,28 @@ def _digests(threads: str) -> dict:
 def test_digests_identical_at_1_2_and_8_threads():
     digests = {threads: _digests(threads) for threads in THREAD_COUNTS}
     reference = digests[THREAD_COUNTS[0]]
-    assert len(reference) == 22
+    assert len(reference) == 33
     for threads in THREAD_COUNTS[1:]:
         differing = [key for key in reference if digests[threads][key] != reference[key]]
         assert not differing, f"{threads} threads differ from 1 thread in: {differing}"
+
+
+def test_tall_short_record_report_identical_at_1_and_2_threads(tmp_path):
+    # The 80-story, 100-step benchmark workload, whose mode-to-story gemm
+    # gives other bits on two BLAS threads than on one: its report differed
+    # in 121 fields before the elementary stage pinned the BLAS.
+    config = Path(__file__).resolve().parents[1] / "bench" / "workloads" / "tall-short-record.json"
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "sensoropt.cli", "place",
+             "--config", str(config), "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env=_environment(threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_tensordot_map_matches_non_blas_einsum():
@@ -176,8 +231,9 @@ def test_modal_matmul_matches_non_blas_einsum():
         model = build_uniform_shear_model(n_dof)
         block = building.sensitivity_coefficients(model, theta.as_array()[None])
         buffers = building.sensitivity_buffers(n_dof, grid)
-        bases = building._time_bases(block.rate[0], grid, buffers)
-        reference = np.einsum("jpb,jbn->jpn", block.coef[0], bases)
+        reference = np.empty_like(buffers.modal)
+        for modes, bases in building._grouped_bases(block.rate[0], grid, buffers):
+            reference[modes] = np.einsum("jpb,jbn->jpn", block.coef[0][modes], bases)
         dq = building._modal_sensitivities(model, theta, grid)
         scale = np.max(np.abs(reference), axis=(0, 2))
         error = np.max(np.abs(dq - reference), axis=(0, 2))
