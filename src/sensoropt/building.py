@@ -384,9 +384,9 @@ def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
     size = N_PARAMS * n_dof * n_times
     # Each shared memory is as large as the larger of its pair.  A group
     # starting at mode s > 0 writes modal floats from 5 n_times s on, above
-    # the 2 table (s + 1) floats of table rows still needed: the table is
-    # at most n_times + sqrt(n_times) + 1 long, and s >= 2 unless a group
-    # holds one mode, which needs more than 12,500 steps.
+    # the 2 table (s + 1) floats of table rows still needed, since s is at
+    # least the group size and a table row at most n_times + sqrt(n_times)
+    # + 1 long; ``tests/test_building.py`` checks the layout.
     modal = np.empty(max(size, 2 * table * (n_dof + 1)))
     story = np.empty(max(size, 8 * group * n_times))
     return SensitivityBuffers(

@@ -372,6 +372,23 @@ class TestResponseSensitivities:
                 buffers.modal[modes] = np.nan
             assert seen.all()
 
+    def test_shared_buffers_keep_the_table_rows_still_needed(self):
+        # The groups run last first, and a group starting at mode s writes
+        # modal rows that share memory with the table.  Every table row a
+        # later group reads, the forcing row and those of modes below s,
+        # must end before mode s's modal row begins, on every record length.
+        records = [TimeGrid(n, 0.01) for n in [*range(1, 65), 999, 1000, 1001, 10_001, 12_501]]
+        for times in records + [np.linspace(0.0, 1.0, n) for n in (1, 4, 100)]:
+            n_times = times.n_steps if isinstance(times, TimeGrid) else times.size
+            group = max(1, building.BASES_FLOATS // (8 * n_times))
+            n_dof = 2 * group + 1
+            buffers = building.sensitivity_buffers(n_dof, times)
+            assert buffers.bases.shape[0] == group
+            address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
+            for start in range(group, n_dof, group):
+                table_end = address(buffers.damped[start]) + buffers.damped[start].nbytes
+                assert table_end <= address(buffers.modal[start]), (times, start)
+
     def test_entries_finite_and_shaped(self):
         model = build_uniform_shear_model(4)
         grid = TimeGrid(50, 0.02)
