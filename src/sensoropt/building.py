@@ -435,8 +435,8 @@ def _time_bases(table: np.ndarray, modes: slice, times, buffers: SensitivityBuff
     bases 0 to 3, in one multiply.  The bases are written into
     ``buffers.bases``.
     """
-    damped, forcing = table[1:][modes], table[0]
-    bases = buffers.bases[: damped.shape[0]]
+    damped, forcing = table[modes.start + 1 : modes.stop + 1], table[0]
+    bases = buffers.bases[: modes.stop - modes.start]
     bases[:, 0] = damped.imag
     bases[:, 1] = damped.real
     bases[:, 2] = forcing.imag
@@ -458,9 +458,9 @@ def _grouped_bases(rate: np.ndarray, times, buffers: SensitivityBuffers):
     in ``SensitivityBuffers``.
     """
     table = _damped_bases(rate, times, buffers.damped)
-    group = buffers.bases.shape[0]
-    for start in reversed(range(0, rate.size - 1, group)):
-        modes = slice(start, start + group)
+    n_dof, group = rate.size - 1, buffers.bases.shape[0]
+    for start in reversed(range(0, n_dof, group)):
+        modes = slice(start, min(start + group, n_dof))
         yield modes, _time_bases(table, modes, times, buffers)
 
 
@@ -536,7 +536,8 @@ def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoef
     SensitivityCoefficients
         ``coef[s, j, p] @ bases[j]`` is the derivative of mode ``j`` of
         sample ``s`` with respect to parameter ``PARAMETER_NAMES[p]``, with
-        ``bases = _time_bases(rate[s], times, buffers)``.
+        ``bases[j]`` mode ``j``'s time bases from
+        ``_grouped_bases(rate[s], times, buffers)``.
     """
     rows = np.asarray(rows, dtype=float)
     cf = _closed_form(model, rows)
