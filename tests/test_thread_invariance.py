@@ -15,9 +15,12 @@ dimension is 4, so it cannot see an orientation whose result varies with
 the thread count; the sizes here are those of the benchmark workloads
 (4 and 50 stories, and 80 for the tall building), plus a sample count that
 is not a multiple of the Newton step's sample block, and records of one,
-two and three outer-product chunks.  The other tests hold the modal
-contraction, the mode-to-story map, the outer products and the assembly
-to the non-BLAS ``einsum`` each docstring names as its fallback.
+two and three outer-product chunks.  The elementary stage pins the BLAS
+to one thread, so its sensitivities are also compared on records of 7 to
+1001 steps, where the mode-to-story gemm alone is not thread-invariant,
+and the tall building's report at 1 and 2 threads.  The other tests hold
+the modal contraction, the mode-to-story map, the outer products and the
+assembly to the non-BLAS ``einsum`` each docstring names as its fallback.
 """
 
 import json
@@ -108,8 +111,8 @@ tall_prior = dataclasses.replace(default_prior(), omega0=Marginal("lognormal", 2
 sets[80] = compute_elementary_set(build_uniform_shear_model(80), sample_prior(tall_prior, 10, 2), grid)
 
 # The sensitivities as the elementary stage computes them, with the BLAS
-# pinned to one thread: on 100 and 300 steps the mode-to-story gemm gives
-# other bits on two threads than on one.
+# pinned to one thread: on 100, 300 and 1001 steps the mode-to-story gemm
+# gives other bits on two threads than on one.
 exact = fim.response_sensitivities
 stage = []
 
