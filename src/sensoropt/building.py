@@ -593,15 +593,17 @@ def _modal_sensitivities(
 ) -> np.ndarray:
     """Derivatives of the modal response, laid out (mode, parameter, time).
 
-    ``theta`` is one sample, as in ``response_sensitivities``.  One batched
-    matmul over modes, ``(n_dof, 5, 8) @ (n_dof, 8, n_times)``, forms the
-    time series from the sample's ``(rate, coef)`` pair of
-    ``sensitivity_coefficients``.  Each output entry is a sum of ``K = 8``
+    ``theta`` is one sample, as in ``response_sensitivities``.  A batched
+    matmul over modes, ``(group, 5, 8) @ (group, 8, n_times)`` for each
+    group of ``_grouped_bases``, forms the time series from the sample's
+    ``(rate, coef)`` pair of ``sensitivity_coefficients``; a mode's result
+    does not depend on its group.  Each output entry is a sum of ``K = 8``
     products within one mode, so a BLAS thread split can only divide the
     outputs between threads, never the sum behind one of them;
     ``tests/test_thread_invariance.py`` checks it at 4, 50 and 80 stories.
     Should that test fail on another CPU, the non-BLAS
-    ``np.einsum("jpb,jbn->jpn", coef, bases)`` is the drop-in replacement.
+    ``np.einsum("jpb,jbn->jpn", coef[modes], bases)`` is the drop-in
+    replacement.
     """
     if isinstance(theta, SystemParameters):
         theta = tuple(c[0] for c in sensitivity_coefficients(model, theta.as_array()[None]))
