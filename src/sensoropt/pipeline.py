@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,7 +50,7 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class PlacementReport:
-    config: dict
+    config: RunConfig
     relaxed: RelaxedSolution
     placement: BinaryPlacement
     comparison: ComparisonReport | None
@@ -76,7 +75,7 @@ class PlacementReport:
         placed = self.placement
         payload = {
             "version": self.version,
-            "config": self.config,
+            "config": self.config.to_dict(),
             "relaxed": {
                 "z_star": sol.z_star.tolist(),
                 "objective_relaxed": sol.objective_relaxed,
@@ -108,24 +107,32 @@ class PlacementReport:
         return payload
 
 
-@contextmanager
-def _stage(name: str, timings: dict):
-    start = time.perf_counter()
-    try:
-        yield
-    except Exception as exc:
-        raise PipelineError(name, exc) from exc
-    timings[name] = time.perf_counter() - start
+class _Stage:
+    """Times a stage into ``timings``; a failure in it becomes a ``PipelineError``."""
+
+    __slots__ = ("name", "timings", "start")
+
+    def __init__(self, name: str, timings: dict):
+        self.name, self.timings = name, timings
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+
+    def __exit__(self, kind, exc, traceback):
+        if exc is None:
+            self.timings[self.name] = time.perf_counter() - self.start
+        elif isinstance(exc, Exception):
+            raise PipelineError(self.name, exc) from exc
 
 
 def _elementary_stages(config: RunConfig, timings: dict) -> ElementaryFimSet:
     """The model, prior-sampling and elementary-matrices stages."""
-    with _stage("model", timings):
+    with _Stage("model", timings):
         model = build_uniform_shear_model(config.n_dof)
         grid = TimeGrid(config.n_steps, config.dt)
-    with _stage("prior-sampling", timings):
+    with _Stage("prior-sampling", timings):
         samples = sample_prior(config.prior, config.n_samples, config.seed)
-    with _stage("elementary-matrices", timings):
+    with _Stage("elementary-matrices", timings):
         return compute_elementary_set(model, samples, grid)
 
 
@@ -137,7 +144,7 @@ def run_oracle(config: RunConfig) -> ExhaustiveResult:
     """
     timings: dict[str, float] = {}
     elems = _elementary_stages(config, timings)
-    with _stage("exhaustive", timings):
+    with _Stage("exhaustive", timings):
         return exhaustive(elems, config.budget)
 
 
@@ -146,11 +153,11 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
     timings: dict[str, float] = {}
 
     elems = _elementary_stages(config, timings)
-    with _stage("preflight", timings):
+    with _Stage("preflight", timings):
         preflight_check(elems)
-    with _stage("solve", timings):
+    with _Stage("solve", timings):
         solution = solve_relaxed(elems, config.budget)
-    with _stage("certify", timings):
+    with _Stage("certify", timings):
         placement = certify_or_repair(
             solution.z_star,
             elems,
@@ -160,7 +167,7 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
 
     comparison = None
     skipped: dict[str, str] = {}
-    with _stage("baselines", timings):
+    with _Stage("baselines", timings):
         configs = [("optimal", placement.delta)]
         counts = {
             "optimal": solution.objective_evaluations + placement.objective_evaluations
@@ -187,7 +194,7 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
             )
 
     return PlacementReport(
-        config=config.to_dict(),
+        config=config,
         relaxed=solution,
         placement=placement,
         comparison=comparison,
@@ -204,9 +211,9 @@ def _report_text(report: PlacementReport) -> str:
     lines.append("Sensor placement report")
     lines.append("=======================")
     lines.append(
-        f"stories: {cfg['n_dof']}   sensors: {cfg['budget']}   "
-        f"time steps: {cfg['n_steps']} x {cfg['dt']} s   "
-        f"prior samples: {cfg['n_samples']}   seed: {cfg['seed']}"
+        f"stories: {cfg.n_dof}   sensors: {cfg.budget}   "
+        f"time steps: {cfg.n_steps} x {cfg.dt} s   "
+        f"prior samples: {cfg.n_samples}   seed: {cfg.seed}"
     )
     lines.append("")
     lines.append(f"relaxed optimum objective : {sol.objective_relaxed:.6f}")

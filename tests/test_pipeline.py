@@ -78,7 +78,7 @@ class TestWriteReport:
         assert 0.0 <= float(z) <= 1.0
 
     def test_report_reproducible_from_echo(self, small_report, tmp_path):
-        echoed = validate_config(small_report.config)
+        echoed = validate_config(small_report.to_dict()["config"])
         report2 = run_pipeline(echoed)
         a = write_report(small_report, tmp_path / "a")
         b = write_report(report2, tmp_path / "b")
