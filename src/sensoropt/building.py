@@ -244,6 +244,8 @@ def _as_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    if times.size < 1:
+        raise ValueError("times must hold at least one time, got an empty array")
     return times
 
 

@@ -38,8 +38,8 @@ not rely on that: it pins the BLAS to one thread while it runs.
   that each output entry is one sum of ``K = n_dof`` products and the
   result is already the (5, 5, n_samples) stack the factor works on.
   Each set assembles into one stack of its own, allocated once.
-- ``_cholesky_all`` factors every sample's ``Q(z)`` in place, for the
-  objective's log-determinant, the Newton step's whitening and the
+- ``_StackFactor.factor`` factors every sample's ``Q(z)`` in place, for
+  the objective's log-determinant, the Newton step's whitening and the
   preflight check, and the Newton step inverts the factors.  Both treat
   each of the 25 entries as one vector over the samples and use
   elementwise arithmetic only, so no BLAS or LAPACK call and no thread
@@ -64,6 +64,7 @@ import ctypes
 import functools
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,34 +318,6 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-class _BlockQueue:
-    """Sample blocks of the elementary stage, handed out in order to its threads.
-
-    A failed block ends the hand-out of later blocks, but every earlier
-    block has already been handed out and is finished, so ``error`` ends
-    as the error of the lowest failing block: the one the stage raises
-    when it runs its blocks in order on one thread.
-    """
-
-    def __init__(self, n_blocks: int):
-        self._lock = threading.Lock()
-        self._next = 0
-        self._end = n_blocks  # the lowest failed block, or n_blocks
-        self.error: BaseException | None = None
-
-    def take(self) -> int | None:
-        with self._lock:
-            if self._next >= self._end:
-                return None
-            self._next += 1
-            return self._next - 1
-
-    def fail(self, index: int, error: BaseException) -> None:
-        with self._lock:
-            if index < self._end:
-                self._end, self.error = index, error
-
-
 def compute_elementary_set(
     model: ShearBuildingModel, samples: SampleSet, times
 ) -> ElementaryFimSet:
@@ -361,21 +334,29 @@ def compute_elementary_set(
     The BLAS is pinned to one thread for the stage and its thread count
     restored afterwards, so every contraction runs on one thread whatever
     the environment asks for.  Where the per-sample work ``n_dof * n_steps``
-    is at least ``THREAD_WORK``, one thread per core takes the blocks in
-    turn from a shared queue; each writes only its own samples' matrices,
-    into sensitivity buffers of its own, and a sample's bits do not depend
-    on the thread that computes it.  Below that work, on one core, or where
-    no BLAS thread control is found, the blocks run in order in the calling
-    thread.  Either way the result depends only on (model, samples, times),
-    and an error is the one of the first failing sample.  The pin holds for
-    the whole process, so stages run at the same time from two threads of
-    the caller's may leave the BLAS on one thread.
+    is at least ``THREAD_WORK``, one thread per core, the calling thread
+    among them, takes block indices from the front of a queue that holds
+    them in order, until the queue is empty or a block has failed; each
+    writes only its own samples' matrices, into sensitivity buffers of its
+    own, and a sample's bits do not depend on the thread that computes it.
+    Below that work, on one core, or where no BLAS thread control is found,
+    the calling thread takes every block in order alone.  Either way the
+    result depends only on (model, samples, times).  The queue is first in,
+    first out, so every block below a failed one has been taken and is
+    finished, and the error raised, that of the lowest failing block, is
+    the one of the first failing sample.  The pin holds for the whole
+    process, so stages run at the same time from two threads of the
+    caller's may leave the BLAS on one thread.
     """
     n_samples, n_dof = samples.n_samples, model.n_dof
     out = np.empty((n_samples, n_dof, N_PARAMS, N_PARAMS))
     block = max(1, ROWS // n_dof)
     n_blocks = -(-n_samples // block)
-    queue = _BlockQueue(n_blocks)
+    # ``popleft`` is thread-safe.  A ``queue.SimpleQueue`` would do the same,
+    # but importing ``queue`` (with ``heapq`` and ``_queue``) added about
+    # 0.1 MB to small-building's peak RSS.
+    blocks = deque(range(n_blocks))
+    failures = []  # (block, error)
 
     def fill(index: int, buffers: SensitivityBuffers) -> None:
         start = index * block
@@ -393,14 +374,23 @@ def compute_elementary_set(
             raise FloatingPointError(f"non-finite sensitivities for sample {k}")
 
     def work(buffers: SensitivityBuffers) -> None:
-        while (index := queue.take()) is not None:
+        while not failures:
+            try:
+                index = blocks.popleft()
+            except IndexError:
+                return
             try:
                 fill(index, buffers)
             except BaseException as error:
                 # Kept and raised below, after every thread has stopped: an
                 # exception left to end a thread would lose its block.
-                queue.fail(index, error)
+                failures.append((index, error))
 
+    # The calling thread works too, and allocates every thread's buffers,
+    # because each further thread that allocates does so in a malloc arena
+    # of its own.  On two cores a thread pool beside an idle caller raised
+    # fifty-story's peak RSS from 49.4-49.7 to 50.8-51.2 MB, and buffers
+    # allocated inside the helpers raised it by about 4.5 MB.
     buffers = sensitivity_buffers(n_dof, times)
     with _one_blas_thread() as pinned:
         n_threads = 1
@@ -417,8 +407,8 @@ def compute_elementary_set(
         finally:
             for helper in helpers:
                 helper.join()
-    if queue.error is not None:
-        raise queue.error
+    if failures:
+        raise min(failures)[1]  # the blocks are distinct, so no errors are compared
     out.setflags(write=False)
     return ElementaryFimSet(matrices=out)
 
@@ -466,16 +456,6 @@ def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet, out=None) -> np.ndarr
     n_params = fimset.n_params
     flat = np.matmul(z, fimset.entries, out=out)
     return flat.reshape(n_params, n_params, fimset.n_samples)
-
-
-def _cholesky_all(stack: np.ndarray, message: str = _NOT_PD) -> np.ndarray:
-    """Cholesky factors of an entry-major (5, 5, n_samples) stack, in place.
-
-    See ``_StackFactor.factor``: returns ``stack``, whose lower triangle
-    then holds the factors, and raises ``SingularInformationError`` naming
-    the first sample that is not positive definite.
-    """
-    return _StackFactor(stack).factor(message)
 
 
 def mc_objective(z, fimset: ElementaryFimSet) -> float:
@@ -593,10 +573,10 @@ def preflight_check(fimset: ElementaryFimSet) -> None:
     sample; interior placement vectors then always yield PD matrices.
     """
     n_params = fimset.n_params
-    _cholesky_all(
-        np.mean(fimset.entries, axis=0).reshape(n_params, n_params, fimset.n_samples),
+    stack = np.mean(fimset.entries, axis=0).reshape(n_params, n_params, fimset.n_samples)
+    _StackFactor(stack).factor(
         "sample {} is degenerate: its full-support information matrix is not "
-        "positive definite",
+        "positive definite"
     )
 
 

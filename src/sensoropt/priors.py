@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .building import PARAMETER_NAMES, SystemParameters
+from .building import PARAMETER_NAMES
 
 STANDARD_GRAVITY = 9.81  # m/s^2
 
@@ -125,9 +125,6 @@ class SampleSet:
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
-
-    def parameters(self, k: int) -> SystemParameters:
-        return SystemParameters(*self.values[k])
 
     def __len__(self) -> int:
         return self.n_samples

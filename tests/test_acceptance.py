@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from sensoropt import (
+    SystemParameters,
     TimeGrid,
     build_uniform_shear_model,
     certify_or_repair,
@@ -157,7 +158,7 @@ def test_criterion_4_sensitivity_oracle():
     probes = 0
     worst = 0.0
     for k in range(10):
-        theta = samples.parameters(k)
+        theta = SystemParameters(*samples.values[k])
         model = build_uniform_shear_model(int(rng.integers(1, 6)))
         times = rng.uniform(0.5, 12.0, size=3)
         sens = response_sensitivities(model, theta, times)
@@ -174,8 +175,6 @@ def test_criterion_4_sensitivity_oracle():
             plus, minus = base.copy(), base.copy()
             plus[p] += step
             minus[p] -= step
-            from sensoropt import SystemParameters
-
             x_p = physical_response(model, modal_response(model, SystemParameters(*plus), times))
             x_m = physical_response(model, modal_response(model, SystemParameters(*minus), times))
             fd[:, :, p] = (x_p - x_m) / (2 * step)
@@ -195,7 +194,7 @@ def test_criterion_5_modal_solution_correctness():
 
     # part 1: residual of the closed form substituted into the oscillator
     model = build_uniform_shear_model(4)
-    theta = sample_prior(PRIOR, 1, seed=3).parameters(0)
+    theta = SystemParameters(*sample_prior(PRIOR, 1, seed=3).values[0])
     wj, zj, _, aj = modal_constants(model, theta)
     h = 0.01 / 100
     probes = np.array([0.5, 2.0, 5.0, 9.97])
@@ -214,7 +213,7 @@ def test_criterion_5_modal_solution_correctness():
     samples = sample_prior(PRIOR, 10, seed=13)
     model2 = build_uniform_shear_model(2)
     for k in range(10):
-        theta = samples.parameters(k)
+        theta = SystemParameters(*samples.values[k])
         t_probe = float(rng.uniform(1.0, 15.0))
         wj, zj, _, aj = modal_constants(model2, theta)
         q_closed = modal_response(model2, theta, np.array([t_probe]))[0]

@@ -162,7 +162,7 @@ class TestModalResponse:
         model = build_uniform_shear_model(2)
         samples = sample_prior(default_prior(), 10, seed=11)
         for k in range(10):
-            theta = samples.parameters(k)
+            theta = SystemParameters(*samples.values[k])
             t_probe = float(rng.uniform(1.0, 15.0))
             wj, zj, _, aj = modal_constants(model, theta)
             q_closed = modal_response(model, theta, np.array([t_probe]))[0]
@@ -195,6 +195,14 @@ class TestModalResponse:
         theta = SystemParameters(omega0=1.0, alpha=10.0, beta=0.0, omega=1.0, a0=1.0)
         with pytest.raises(UnsupportedDampingError):
             modal_response(model, theta, TimeGrid(10, 0.01))
+
+
+@pytest.mark.parametrize("function", [modal_response, response_sensitivities])
+def test_empty_time_array_rejected(function):
+    # As ``TimeGrid`` rejects n_steps < 1: no ZeroDivisionError from sizing the bases.
+    model = build_uniform_shear_model(3)
+    with pytest.raises(ValueError, match="^times must hold at least one time"):
+        function(model, PRIOR_MEANS, np.array([]))
 
 
 class TestPhysicalResponse:
@@ -281,7 +289,7 @@ class TestResponseSensitivities:
         samples = sample_prior(default_prior(), 8, seed=23)
         checked = 0
         for k in range(8):
-            theta = samples.parameters(k)
+            theta = SystemParameters(*samples.values[k])
             n_dof = int(rng.integers(1, 5))
             model = build_uniform_shear_model(n_dof)
             times = rng.uniform(0.5, 12.0, size=3)
@@ -303,7 +311,7 @@ class TestResponseSensitivities:
         samples = sample_prior(default_prior(), 3, seed=29)
         probes = 0
         for k in range(3):
-            theta = samples.parameters(k)
+            theta = SystemParameters(*samples.values[k])
             times = rng.uniform(0.5, 10.0, size=8)
             sens = response_sensitivities(model, theta, times)
             fd = _fd_sensitivities(model, theta, times, rel_step=6e-6)
@@ -325,7 +333,7 @@ class TestResponseSensitivities:
         samples = sample_prior(default_prior(), 3, seed=1)
         full_record = TimeGrid(1001, 0.01).times
         for k in range(3):
-            theta = samples.parameters(k)
+            theta = SystemParameters(*samples.values[k])
             for fn, axes in ((response_sensitivities, (0, 1)), (modal_response, 0)):
                 scale = np.max(np.abs(fn(model, theta, full_record)), axis=axes)
                 for n_steps in (1, 7, 1000, 1001):

@@ -128,7 +128,7 @@ class TestElementaryMatrices:
         grid = TimeGrid(1000, 0.01)
         expected = np.empty((samples.n_samples, n_dof, 5, 5))
         for k in range(samples.n_samples):
-            sens = response_sensitivities(model, samples.parameters(k), grid)
+            sens = response_sensitivities(model, SystemParameters(*samples.values[k]), grid)
             fim._outer_products(sens.transpose(1, 2, 0), expected[k])
         forward = compute_elementary_set(model, samples, grid).matrices
         reverse = SampleSet(values=samples.values[::-1].copy(), seed=samples.seed)
@@ -153,7 +153,7 @@ class TestElementaryMatrices:
             matrices = compute_elementary_set(model, samples, grid).matrices
             assert np.array_equal(matrices, matrices.transpose(0, 1, 3, 2))
             for k in range(samples.n_samples):
-                sens = response_sensitivities(model, samples.parameters(k), grid)
+                sens = response_sensitivities(model, SystemParameters(*samples.values[k]), grid)
                 story_major = sens.transpose(1, 2, 0)
                 reference = np.einsum("ipn,iqn->ipq", story_major, story_major)
                 top = np.max(np.einsum("ipp->ip", reference), axis=0)
@@ -199,7 +199,7 @@ class TestElementaryMatrices:
         model = build_uniform_shear_model(2)
         samples = sample_prior(default_prior(), 1, seed=3)
         grid = TimeGrid(100, 0.01)
-        sens = response_sensitivities(model, samples.parameters(0), grid)
+        sens = response_sensitivities(model, SystemParameters(*samples.values[0]), grid)
         fast = compute_elementary_set(model, samples, grid).matrices[0]
         slow = np.zeros_like(fast)
         for i in range(2):
@@ -513,7 +513,7 @@ def _spd_stack(rng, n_samples):
 
 
 def _entry_major(q_all) -> np.ndarray:
-    """A (n_samples, 5, 5) stack as the (5, 5, n_samples) stack ``_cholesky_all`` factors."""
+    """A (n_samples, 5, 5) stack as the (5, 5, n_samples) stack ``_StackFactor`` factors."""
     return q_all.transpose(1, 2, 0).copy()
 
 
@@ -521,7 +521,7 @@ def _raises_singular(stack) -> SingularInformationError:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularInformationError) as excinfo:
-            fim._cholesky_all(stack)
+            fim._StackFactor(stack).factor()
     return excinfo.value
 
 
@@ -533,7 +533,7 @@ class TestCholeskyAll:
         stack = _entry_major(q_all)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factored = fim._cholesky_all(stack)
+            factored = fim._StackFactor(stack).factor()
         # Factored in place; only the lower triangle is the factor.
         assert factored is stack
         chol = np.tril(stack.transpose(2, 0, 1))

@@ -146,11 +146,6 @@ class TestSamplePrior:
         s = sample_prior(default_prior(), 200_000, seed=31)
         assert np.min(np.abs(s.values[:, 4])) >= 1e-6
 
-    def test_parameters_accessor_matches_rows(self):
-        s = sample_prior(default_prior(), 3, seed=41)
-        theta = s.parameters(1)
-        np.testing.assert_array_equal(theta.as_array(), s.values[1])
-
     def test_values_are_read_only(self):
         s = sample_prior(default_prior(), 3, seed=43)
         with pytest.raises(ValueError):
