@@ -71,22 +71,28 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     to the lower story.  The evaluation counter therefore totals
     ``budget * (2 * n_dof - budget)`` kernel calls.
 
-    A configuration that is singular in some sample, such as the empty
-    starting one, is scored through a ridge fallback (``eps * I`` added to
-    every sample's matrix).  The empty configuration's ridge value is a
-    constant that cancels out of every round-1 comparison.  The final
-    value is recomputed without the ridge.
+    A configuration that is singular in some sample is scored through a
+    ridge fallback (``eps * I`` added to every sample's matrix).  The empty
+    starting configuration is singular in every sample, so it goes to the
+    ridge directly; its ridge value is a constant that cancels out of every
+    round-1 comparison.  The final value is the exact objective: the last
+    round's value of the chosen configuration when that came from the
+    exact path (the same call on the same set), otherwise recomputed
+    without the ridge.
     """
     n = fimset.n_dof
     check_budget(budget, n)
     evaluator = CountingEvaluator(fimset)
     eps = regularization_scale(fimset)
 
-    def value_of(delta: np.ndarray) -> float:
-        try:
-            return -evaluator.objective(delta.astype(float))
-        except SingularInformationError:
-            return -evaluator.objective_regularized(delta.astype(float), eps)
+    def value_of(delta: np.ndarray) -> tuple[float, bool]:
+        """Value of ``delta``, and whether it is the exact objective's."""
+        if delta.any():
+            try:
+                return -evaluator.objective(delta.astype(float)), True
+            except SingularInformationError:
+                pass
+        return -evaluator.objective_regularized(delta.astype(float), eps), False
 
     delta = np.zeros(n, dtype=int)
     # Value of the empty configuration under the ridge, by definition
@@ -97,26 +103,28 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
         best_gain = -math.inf
         best_story = -1
         best_value = -math.inf
+        best_exact = False
         first = True
         for i in range(n):
             if delta[i]:
                 continue
             if not first:
-                base_value = value_of(delta)
+                base_value = value_of(delta)[0]
             first = False
             delta[i] = 1
-            cand_value = value_of(delta)
+            cand_value, exact = value_of(delta)
             delta[i] = 0
             gain = cand_value - base_value
             if gain > best_gain:
                 best_gain = gain
                 best_story = i
                 best_value = cand_value
+                best_exact = exact
         delta[best_story] = 1
         picks.append(best_story + 1)
         base_value = best_value
 
-    final_value = -mc_objective(delta.astype(float), fimset)
+    final_value = best_value if best_exact else -mc_objective(delta.astype(float), fimset)
     return GreedyResult(
         delta=delta,
         objective_value=final_value,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sensoropt import baselines, fim
 from sensoropt import (
     SingularInformationError,
     TimeGrid,
@@ -49,6 +50,31 @@ class TestGreedyForward:
             values.append(-mc_objective(delta, four_dof_fimset))
         best, worst = max(values), min(values)
         assert result.objective_value >= worst + (1 - 1 / math.e) * (best - worst) - 1e-12
+
+    def test_no_exact_call_scores_the_empty_configuration(self, four_dof_fimset, monkeypatch):
+        # Q = 0 in every sample, so the exact objective of the empty
+        # configuration always raises; greedy scores it through the ridge
+        # alone, and takes its final value from the last round.
+        exact_calls = []
+
+        def spy(module):
+            inner = module.mc_objective
+
+            def mc_objective(z, fimset):
+                exact_calls.append(np.array(z, dtype=float))
+                return inner(z, fimset)
+            monkeypatch.setattr(module, "mc_objective", mc_objective)
+
+        spy(fim)
+        spy(baselines)
+        for budget in (1, 2, 3, 4):
+            exact_calls.clear()
+            result = greedy_forward(four_dof_fimset, budget)
+            assert all(z.any() for z in exact_calls)
+            assert result.n_evaluations == budget * (2 * 4 - budget)
+            # All but round 1's 3 re-scorings of the empty base, which take the ridge.
+            assert len(exact_calls) == result.n_evaluations - 3
+            assert result.objective_value == -mc_objective(result.delta.astype(float), four_dof_fimset)
 
     def test_greedy_matches_exhaustive_on_small_instance(self, four_dof_fimset):
         greedy = greedy_forward(four_dof_fimset, 2)

@@ -6,6 +6,7 @@ import pickle
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -561,7 +562,7 @@ class TestCholeskyAll:
 
 
 class TestSetStack:
-    # Each set keeps an entry-major copy of its matrices and one stack that
+    # Each set keeps its matrices once, entry-major, and one stack that
     # every objective call and Newton step on it overwrites.
     def test_entries_are_a_read_only_entry_major_copy(self, four_dof_fimset):
         built = _fimset_from(np.random.default_rng(20).normal(size=(7, 3, 5, 5)))
@@ -570,7 +571,8 @@ class TestSetStack:
             entries = fimset.entries
             assert entries.shape == (n_dof, 25 * n_samples)
             assert not entries.flags.writeable
-            assert not np.shares_memory(entries, fimset.matrices)
+            assert not fimset.matrices.flags.writeable
+            assert np.shares_memory(entries, fimset.matrices)
             np.testing.assert_array_equal(
                 entries.reshape(n_dof, 5, 5, n_samples), fimset.matrices.transpose(1, 2, 3, 0)
             )
@@ -595,6 +597,46 @@ class TestSetStack:
                 assert fim.mc_objective_regularized(z, fimset, eps) == (
                     fim.mc_objective_regularized(z, ElementaryFimSet(matrices=fimset.matrices), eps)
                 )
+
+    def test_the_stage_builds_one_copy(self):
+        # The stage writes the entry-major array the set keeps.  Besides it,
+        # the traced peak holds the set's own stacks and the stage's per-block
+        # arrays, well below half a copy at 20 stories; a sample-major array
+        # copied into the set would take the peak to two copies.
+        model, grid = build_uniform_shear_model(20), TimeGrid(100, 0.01)
+        samples = sample_prior(default_prior(), 500, seed=24)
+        buffers = fim.sensitivity_buffers(model.n_dof, grid)
+        buffer_bytes = buffers.modal.base.nbytes + buffers.story.base.nbytes
+        compute_elementary_set(model, samples, grid)  # imports and caches first
+        tracemalloc.start()
+        try:
+            fimset = compute_elementary_set(model, samples, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(fimset.entries, fimset.matrices)
+        assert peak < 1.5 * fimset.matrices.nbytes + buffer_bytes
+
+    def test_copies_hold_one_copy_of_their_own(self, four_dof_fimset):
+        # A set built from another's read-only matrices shares them; deep
+        # copies and pickles get the same bits in a single array of their own.
+        assert np.shares_memory(
+            ElementaryFimSet(matrices=four_dof_fimset.matrices).entries, four_dof_fimset.entries
+        )
+        for copied in (copy.deepcopy(four_dof_fimset), pickle.loads(pickle.dumps(four_dof_fimset))):
+            assert np.array_equal(copied.entries, four_dof_fimset.entries)
+            assert np.shares_memory(copied.entries, copied.matrices)
+            assert not np.shares_memory(copied.entries, four_dof_fimset.entries)
+            assert not copied.matrices.flags.writeable
+
+    def test_ridge_scale_adds_the_traces_in_sample_order(self):
+        # The same bits as the mean over a sample-major array of traces,
+        # although the set stores its matrices entry-major.
+        rng = np.random.default_rng(25)
+        for n_samples, n_dof in ((300, 7), (1000, 4), (37, 50)):
+            matrices = rng.exponential(size=(n_samples, n_dof, 5, 5))
+            mean_trace = np.mean(np.ascontiguousarray(np.einsum("kipp->ki", matrices)))
+            assert fim.regularization_scale(_fimset_from(matrices)) == 1e-12 * float(mean_trace)
 
     def test_copies_get_a_stack_of_their_own(self, four_dof_fimset):
         mc_objective(np.full(4, 0.5), four_dof_fimset)
