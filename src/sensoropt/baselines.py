@@ -18,7 +18,6 @@ from .fim import (
     check_budget,
     check_sensor_vector,
     mc_objective,
-    regularization_scale,
 )
 from .solver import ENUMERATION_CAP, best_combination
 
@@ -71,63 +70,38 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     to the lower story.  The evaluation counter therefore totals
     ``budget * (2 * n_dof - budget)`` kernel calls.
 
-    A configuration that is singular in some sample is scored through a
-    ridge fallback (``eps * I`` added to every sample's matrix).  The empty
-    starting configuration is singular in every sample, so it goes to the
-    ridge directly; its ridge value is a constant that cancels out of every
-    round-1 comparison.  The final value is the exact objective: the last
-    round's value of the chosen configuration when that came from the
-    exact path (the same call on the same set), otherwise recomputed
-    without the ridge.
+    Configurations are scored by ``CountingEvaluator.score``: exactly, or
+    through its ridge fallback where singular in some sample.  The empty
+    starting configuration is singular in every sample; its ridge value,
+    ``empty_value``, is a constant that cancels out of every round-1
+    comparison.  The final value is the exact objective: the last round's
+    value of the chosen configuration when that was exact (the same call
+    on the same set), otherwise recomputed without the ridge.
     """
     n = fimset.n_dof
     check_budget(budget, n)
     evaluator = CountingEvaluator(fimset)
-    eps = regularization_scale(fimset)
-
-    def value_of(delta: np.ndarray) -> tuple[float, bool]:
-        """Value of ``delta``, and whether it is the exact objective's."""
-        if delta.any():
-            try:
-                return -evaluator.objective(delta.astype(float)), True
-            except SingularInformationError:
-                pass
-        return -evaluator.objective_regularized(delta.astype(float), eps), False
-
     delta = np.zeros(n, dtype=int)
-    # Value of the empty configuration under the ridge, by definition
-    # rather than evaluation: every sample contributes log det(eps * I).
-    base_value = fimset.n_params * math.log(eps)
+    base_value = evaluator.empty_value
     picks: list[int] = []
     for _round in range(budget):
-        best_gain = -math.inf
-        best_story = -1
-        best_value = -math.inf
-        best_exact = False
-        first = True
-        for i in range(n):
-            if delta[i]:
-                continue
-            if not first:
-                base_value = value_of(delta)[0]
-            first = False
+        best_gain, best_story, best = -math.inf, -1, None
+        for k, i in enumerate(np.flatnonzero(delta == 0)):
+            if k:
+                base_value = evaluator.score(delta)[0]
             delta[i] = 1
-            cand_value, exact = value_of(delta)
+            score = evaluator.score(delta)
             delta[i] = 0
-            gain = cand_value - base_value
-            if gain > best_gain:
-                best_gain = gain
-                best_story = i
-                best_value = cand_value
-                best_exact = exact
+            if score[0] - base_value > best_gain:
+                best_gain, best_story, best = score[0] - base_value, int(i), score
         delta[best_story] = 1
         picks.append(best_story + 1)
-        base_value = best_value
+        base_value = best[0]
 
-    final_value = best_value if best_exact else -mc_objective(delta.astype(float), fimset)
+    value, exact = best
     return GreedyResult(
         delta=delta,
-        objective_value=final_value,
+        objective_value=value if exact else -mc_objective(delta.astype(float), fimset),
         n_evaluations=evaluator.n_objective,
         picks=tuple(picks),
     )

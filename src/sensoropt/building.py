@@ -21,35 +21,39 @@ name        meaning
 The uniform building's mode shapes and frequencies are known in closed
 form (``build_uniform_shear_model``), so no eigensolver runs.
 
-The sensitivities come in two passes.  ``sensitivity_coefficients``
-takes a block of parameter rows, shape (B, 5), and forms the modal
-constants (``modal_constants``, after range-checking the rows) and each
-mode's derivative coefficients over eight time bases for the whole block
-at once; a single ``SystemParameters`` is a block of one, so every caller
-shares that arithmetic.  ``response_sensitivities`` then turns one
-sample's coefficients into time series: it builds the time bases, on a
+The response and its sensitivities come from one path, in two passes.
+``sensitivity_coefficients`` takes a block of parameter rows, shape
+(B, 5), and forms the modal constants (``modal_constants``, after
+range-checking the rows) and each mode's derivative coefficients over
+eight time bases for the whole block at once; a single
+``SystemParameters`` is a block of one, so every caller shares that
+arithmetic.  The response is linear in ``a0``, so ``modal_response`` is
+``a0`` times the ``a0`` derivative.  ``response_sensitivities`` then
+turns one sample's coefficients into time series, one group of modes at
+a time (``BASES_FLOATS``): it builds the group's time bases, on a
 ``TimeGrid`` from two short tables per row (``_damped_bases``), one row
 for the forcing's ``sin(w t)`` and ``cos(w t)``, with the rate ``i w``,
-and one per mode for the damped bases, so no sine or cosine runs over the
-record.  An arbitrary time array is evaluated directly, and
-``tests/test_building.py`` holds the two paths together.  The grid's time
-vectors are computed once per ``TimeGrid``.  Two BLAS-backed contractions
-follow: a batched matmul over modes that forms the modal derivatives from
-their coefficients (``K = 8``, ``_modal_sensitivities``), one group of
-modes at a time (``BASES_FLOATS``), and a gemm that maps them to stories
-(``M = K = n_dof``).  The batched matmul is in an orientation whose
-result was bitwise identical at 1, 2 and 8 BLAS threads; the gemm was on
-records of 1000 steps, but not at 50 and 80 stories on 100, 300 or 1001
-steps, so the elementary-matrix stage runs it with the BLAS pinned to one
-thread.  ``tests/test_thread_invariance.py`` checks both at benchmark
-sizes and holds each to the non-BLAS ``einsum`` its docstring names as
-the fallback.  The second pass writes into ``SensitivityBuffers``, which
-the elementary-matrix stage (``fim.compute_elementary_set``, in blocks of
-``fim.ROWS`` mode-rows) allocates once per thread, with two pairs of
-stages sharing memory (4 MB at 50 stories on 1000 steps, where the
-stages apart would take 8), and returns the sensitivities as a view of a
-story-major (story, parameter, time) array, the layout in which the stage
-takes their outer products.
+and one per mode of the group for the damped bases, so no sine or cosine
+runs over the record.  An arbitrary time array is evaluated directly,
+and ``tests/test_building.py`` holds the two paths together.  The grid's
+time vectors are computed once per ``TimeGrid``.  Two BLAS-backed
+contractions follow: a batched matmul over the group's modes that forms
+the modal derivatives from their coefficients (``K = 8``,
+``_modal_sensitivities``), and, once every group is done, a gemm that
+maps them to stories (``M = K = n_dof``).  The batched matmul is in an
+orientation whose result was bitwise identical at 1, 2 and 8 BLAS
+threads; the gemm was on records of 1000 steps, but not at 50 and 80
+stories on 100, 300 or 1001 steps, so the elementary-matrix stage runs it
+with the BLAS pinned to one thread.  ``tests/test_thread_invariance.py``
+checks both at benchmark sizes and holds each to the non-BLAS ``einsum``
+its docstring names as the fallback.  The second pass writes into
+``SensitivityBuffers``, which the elementary-matrix stage
+(``fim.compute_elementary_set``, in blocks of ``fim.ROWS`` mode-rows)
+allocates once per thread, with each group's bases and table rows in the
+memory that the story-major sensitivities later take (4 MB at 50 stories
+on 1000 steps), and returns the sensitivities as a view of a story-major
+(story, parameter, time) array, the layout in which the stage takes
+their outer products.
 """
 
 from __future__ import annotations
@@ -294,38 +298,6 @@ def modal_constants(model: ShearBuildingModel, theta):
     return wj, zj, wd, aj
 
 
-class _ClosedForm(NamedTuple):
-    """Per-mode constants of the closed-form modal response of B samples.
-
-    Mode ``j`` of sample ``s`` responds as ``q_j(t) = a_j / denom_j *
-    sum_b bracket[b, s, j] * bases[j, b, t]`` over ``b < 4``: the bracket
-    coefficients are ``(trans_sin, cross, detune, -cross)`` and the bases,
-    from ``_time_bases``, are ``e sin(wd_j t)``, ``e cos(wd_j t)``,
-    ``sin(w t)`` and ``cos(w t)`` with envelope ``e = exp(-zeta_j w_j t)``,
-    the imaginary and real parts of ``exp(rate t)`` for the complex rates
-    ``rate``.  Bases 4 to 7 are ``t`` times bases 0 to 3; the derivatives
-    of the response need them.
-    """
-
-    wj: np.ndarray  # (B, n_dof) each, as from modal_constants
-    zj: np.ndarray
-    wd: np.ndarray
-    aj: np.ndarray
-    w: np.ndarray  # (B, 1), the forcing frequency
-    w2: np.ndarray  # (B, 1), its square
-    denom: np.ndarray  # (B, n_dof)
-    bracket: np.ndarray  # (4, B, n_dof)
-
-    @property
-    def rate(self) -> np.ndarray:
-        """Complex rates of the time bases, shape (B, n_dof + 1): see ``_damped_bases``.
-
-        Column 0 is the forcing's ``i w``, exactly ``0 + i w``; column
-        ``j + 1`` is mode ``j``'s ``-zeta_j w_j + i wd_j``.
-        """
-        return np.concatenate([1j * self.w, -self.zj * self.wj + 1j * self.wd], axis=1)
-
-
 class SensitivityBuffers(NamedTuple):
     """Arrays that ``response_sensitivities`` writes its stages into.
 
@@ -333,18 +305,15 @@ class SensitivityBuffers(NamedTuple):
     them to every sample's call there, so the per-sample arrays are neither
     allocated nor page-faulted afresh; every other caller leaves them out
     and gets fresh ones.  Each call rewrites all of them before it reads
-    them.  Two pairs of them share memory, each pair used one after the
-    other: ``damped`` is the start of ``modal``'s memory and ``bases`` the
-    start of ``story``'s.  The bases are built, and the modal derivatives
-    formed from them, for one group of modes at a time, the last group
-    first (``_grouped_bases``).  So the table rows a group still needs, the
-    forcing row and those of the modes before it, lie below the modal rows
-    that the groups after it write, and the story map overwrites the bases
+    them.  The bases are built, and the modal derivatives formed from them,
+    for one group of modes at a time (``_grouped_bases``), each group from
+    its own table rows.  A group's ``bases`` and then its table rows,
+    ``damped``, lie in the memory of ``story``, which the story map writes
     only once every group is done.
     """
 
-    damped: np.ndarray  # complex (n_dof + 1, table length), from _damped_bases
-    bases: np.ndarray  # (group, 8, n_times), one group's _time_bases
+    damped: np.ndarray  # complex (group + 1, table length), one group's _damped_bases
+    bases: np.ndarray  # (group, 8, n_times), one group's bases
     modal: np.ndarray  # (n_dof, 5, n_times), as from _modal_sensitivities
     story: np.ndarray  # (n_dof, 5, n_times), story-major sensitivities
 
@@ -356,7 +325,7 @@ class SensitivityCoefficients(NamedTuple):
     form of one sample that ``response_sensitivities`` takes as ``theta``.
     """
 
-    rate: np.ndarray  # complex (B, n_dof + 1), as _ClosedForm.rate
+    rate: np.ndarray  # complex (B, n_dof + 1): see sensitivity_coefficients
     coef: np.ndarray  # (B, n_dof, 5, 8): coef[s, j, p] @ bases[j] is dq_j/d theta_p
 
 
@@ -384,37 +353,33 @@ def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
         n_times = table = _as_times(times).size
     group = min(n_dof, max(1, BASES_FLOATS // (8 * n_times)))
     size = N_PARAMS * n_dof * n_times
-    # Each shared memory is as large as the larger of its pair.  A group
-    # starting at mode s > 0 writes modal floats from 5 n_times s on, above
-    # the 2 table (s + 1) floats of table rows still needed, since s is at
-    # least the group size and a table row at most n_times + sqrt(n_times)
-    # + 1 long; ``tests/test_building.py`` checks the layout.
-    modal = np.empty(max(size, 2 * table * (n_dof + 1)))
-    story = np.empty(max(size, 8 * group * n_times))
+    bases, rows = 8 * group * n_times, 2 * table * (group + 1)
+    story = np.empty(max(size, bases + rows))
     return SensitivityBuffers(
-        damped=modal[: 2 * table * (n_dof + 1)].view(complex).reshape(n_dof + 1, table),
-        bases=story[: 8 * group * n_times].reshape(group, 8, n_times),
-        modal=modal[:size].reshape(n_dof, N_PARAMS, n_times),
+        damped=story[bases : bases + rows].view(complex).reshape(group + 1, table),
+        bases=story[:bases].reshape(group, 8, n_times),
+        modal=np.empty((n_dof, N_PARAMS, n_times)),
         story=story[:size].reshape(n_dof, N_PARAMS, n_times),
     )
 
 
 def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
-    """``exp(rate_r t)`` for each complex rate of one sample, shape (n_dof + 1, n_times).
+    """``exp(rate_r t)`` for each complex rate ``rate_r``, shape (rate.size, n_times).
 
-    ``rate`` is the sample's row of ``_ClosedForm.rate``: row 0 is the
+    ``rate`` holds rows of ``SensitivityCoefficients.rate``: the
     forcing's ``i w``, whose imaginary and real parts are ``sin(w t)`` and
-    ``cos(w t)``, and row ``j + 1`` is mode ``j``'s ``-zeta_j w_j + i
-    wd_j``, whose parts are the damped bases ``e sin(wd_j t)`` and ``e
-    cos(wd_j t)``.  On a ``TimeGrid`` each step is written ``n = a m + b``
-    with ``m = isqrt(n_steps) + 1``, and ``exp(rate t_n)`` is the product of
-    a coarse table over ``a m dt`` and a fine table over ``b dt``
+    ``cos(w t)``, and for mode ``j`` its ``-zeta_j w_j + i wd_j``, whose
+    parts are the damped bases ``e sin(wd_j t)`` and ``e cos(wd_j t)``.
+    On a ``TimeGrid`` each step is written ``n = a m + b`` with ``m =
+    isqrt(n_steps) + 1``, and ``exp(rate t_n)`` is the product of a coarse
+    table over ``a m dt`` and a fine table over ``b dt``
     (``TimeGrid.table_times``): about ``2 sqrt(n_steps)`` complex
     exponentials per row instead of ``n_steps``.  Every entry is the
     product of two directly evaluated values, not a recurrence, so its
-    error does not grow with ``n``.  An arbitrary time array is evaluated
-    directly.  The table is written into ``out``
-    (``SensitivityBuffers.damped``); the result is a view of it.
+    error does not grow with ``n`` and a row's bits do not depend on the
+    rows beside it.  An arbitrary time array is evaluated directly.  The
+    table is written into ``out`` (the leading rows of
+    ``SensitivityBuffers.damped``); the result is a view of it.
     """
     if not isinstance(times, TimeGrid):
         np.multiply.outer(rate, _as_times(times), out=out)
@@ -427,68 +392,46 @@ def _damped_bases(rate: np.ndarray, times, out: np.ndarray) -> np.ndarray:
     return out[:, 1 : times.n_steps + 1]
 
 
-def _time_bases(table: np.ndarray, modes: slice, times, buffers: SensitivityBuffers) -> np.ndarray:
-    """The eight time bases of ``_ClosedForm`` for the modes ``modes``, shape (group, 8, n_times).
-
-    ``table`` is the sample's ``_damped_bases``.  All four bases 0 to 3
-    are parts of it: the damped pair from each mode's row, and the forcing
-    pair from the forcing row, broadcast over the modes, so no sine or
-    cosine is taken over the record.  Bases 4 to 7 are then ``t`` times
-    bases 0 to 3, in one multiply.  The bases are written into
-    ``buffers.bases``.
-    """
-    damped, forcing = table[modes.start + 1 : modes.stop + 1], table[0]
-    bases = buffers.bases[: modes.stop - modes.start]
-    bases[:, 0] = damped.imag
-    bases[:, 1] = damped.real
-    bases[:, 2] = forcing.imag
-    bases[:, 3] = forcing.real
-    # Input and output share a buffer, so numpy may read bases 0 to 3
-    # through a copy; the stage measured no slower than four multiplies
-    # from the table at 4 and 50 stories.
-    np.multiply(bases[:, :4], _as_times(times), out=bases[:, 4:])
-    return bases
-
-
 def _grouped_bases(rate: np.ndarray, times, buffers: SensitivityBuffers):
-    """Yield ``(modes, bases)`` for each group of modes of one sample, the last group first.
+    """Yield ``(modes, bases)`` for each group of modes of one sample, in order.
 
-    ``rate`` is the sample's row of ``_ClosedForm.rate``; its
-    ``_damped_bases`` are taken once, then each group's ``_time_bases``.
-    ``modes`` is the group's slice of the modes, and its bases are valid
-    until the next group's are yielded.  Why the groups run last first is
-    in ``SensitivityBuffers``.
+    ``rate`` is the sample's row of ``SensitivityCoefficients.rate``.  For
+    each group, one ``_damped_bases`` call builds the table rows of the
+    forcing and of the group's modes, and bases 0 to 3 are parts of them:
+    the damped pair from each mode's row, and the forcing pair from the
+    forcing row, broadcast over the modes, so no sine or cosine is taken
+    over the record.  Bases 4 to 7 are then ``t`` times bases 0 to 3, in
+    one multiply.  ``modes`` is the group's slice of the modes, and its
+    bases, in ``buffers.bases``, are valid until the next group's are
+    yielded.
     """
-    table = _damped_bases(rate, times, buffers.damped)
+    t = _as_times(times)
     n_dof, group = rate.size - 1, buffers.bases.shape[0]
-    for start in reversed(range(0, n_dof, group)):
+    for start in range(0, n_dof, group):
         modes = slice(start, min(start + group, n_dof))
-        yield modes, _time_bases(table, modes, times, buffers)
-
-
-def _closed_form(model: ShearBuildingModel, rows: np.ndarray) -> _ClosedForm:
-    """``_ClosedForm`` of the parameter rows ``rows``, shape (B, 5), in one pass."""
-    wj, zj, wd, aj = modal_constants(model, rows)
-    w = rows[:, 3:4]
-    # The forcing frequency's powers by Python's scalar pow.  numpy's array
-    # power runs a SIMD kernel on CPUs with AVX-512 that rounds about 5 % of
-    # cubes differently, and the upper stories' near-cancelling
-    # sensitivities carry such last-bit changes into the reports.
-    w2, w3 = (np.array([[x**p] for x in w[:, 0].tolist()]) for p in (2, 3))
-
-    trans_sin = (w3 + wj**2 * w * (2.0 * zj**2 - 1.0)) / wd
-    cross = 2.0 * zj * wj * w
-    detune = wj**2 - w2
-    denom = detune**2 + cross**2
-    bracket = np.stack([trans_sin, cross, detune, -cross])
-    return _ClosedForm(wj, zj, wd, aj, w, w2, denom, bracket)
+        rows = np.concatenate([rate[:1], rate[1:][modes]])
+        table = _damped_bases(rows, times, buffers.damped[: rows.size])
+        bases = buffers.bases[: rows.size - 1]
+        bases[:, 0] = table[1:].imag
+        bases[:, 1] = table[1:].real
+        bases[:, 2] = table[0].imag
+        bases[:, 3] = table[0].real
+        # Input and output share a buffer, so numpy may read bases 0 to 3
+        # through a copy; the stage measured no slower than four multiplies
+        # from the table at 4 and 50 stories.
+        np.multiply(bases[:, :4], t, out=bases[:, 4:])
+        yield modes, bases
 
 
 def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) -> np.ndarray:
     """Closed-form modal displacements under sinusoidal ground acceleration.
 
     Each mode solves ``q'' + 2 zeta_j w_j q' + w_j^2 q = a_j sin(w t)``
-    with zero initial displacement and velocity.
+    with zero initial displacement and velocity.  The response is linear
+    in ``a0``, and its derivative with respect to ``a0`` is the response's
+    own closed form with ``a_j`` replaced by ``da_j/da0``
+    (``sensitivity_coefficients``), so the response is ``a0`` times that
+    row of the modal derivatives.
 
     Parameters
     ----------
@@ -499,13 +442,7 @@ def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) ->
     ndarray, shape (n_times, n_dof)
         Modal coordinate histories, one column per mode.
     """
-    cf = _closed_form(model, theta.as_array()[None])
-    weights = cf.bracket[:, 0] * (cf.aj[0] / cf.denom[0])
-    buffers = sensitivity_buffers(model.n_dof, times)
-    q = np.empty((buffers.modal.shape[-1], model.n_dof))
-    for modes, bases in _grouped_bases(cf.rate[0], times, buffers):
-        q[:, modes] = np.einsum("bj,jbn->nj", weights[:, modes], bases[:, :4])
-    return q
+    return theta.a0 * _modal_sensitivities(model, theta, times)[:, -1].T
 
 
 def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
@@ -519,36 +456,54 @@ def physical_response(model: ShearBuildingModel, q: np.ndarray) -> np.ndarray:
 
 
 def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoefficients:
-    """Modal derivatives of B samples as coefficients over the time bases of ``_ClosedForm``.
+    """Modal derivatives of B samples as coefficients over eight time bases.
 
     ``rows`` are parameter rows, shape (B, 5), as in ``modal_constants``;
     every array below is computed for the whole block at once.
 
-    Differentiating a basis of ``_ClosedForm`` gives ``t`` times a basis of
-    the same mode: ``d/dx`` of the damped pair ``(e sin, e cos)`` is ``t``
-    times that pair decayed by ``d(zeta_j w_j)/dx`` and rotated by
-    ``d(wd_j)/dx``, and ``d/dw`` of ``(sin(w t), cos(w t))`` is ``t`` times
-    ``(cos(w t), -sin(w t))``.  Every derivative is therefore a per-mode
-    coefficient vector over the eight bases, and the chain rule through
-    ``(w_j, zeta_j, wd_j, a_j)`` and then ``theta`` acts on those
-    coefficients alone.
+    Mode ``j`` of sample ``s`` responds as ``q_j(t) = a_j / denom_j *
+    sum_b bracket[b, s, j] * bases[j, b, t]`` over ``b < 4``: the bracket
+    coefficients are ``(trans_sin, cross, detune, -cross)`` and the bases
+    are ``e sin(wd_j t)``, ``e cos(wd_j t)``, ``sin(w t)`` and ``cos(w t)``
+    with envelope ``e = exp(-zeta_j w_j t)``, the imaginary and real parts
+    of ``exp(rate t)`` for the complex rates ``rate`` (``_damped_bases``).
+    Bases 4 to 7 are ``t`` times bases 0 to 3.  Differentiating a basis
+    gives ``t`` times a basis of the same mode: ``d/dx`` of the damped pair
+    ``(e sin, e cos)`` is ``t`` times that pair decayed by ``d(zeta_j
+    w_j)/dx`` and rotated by ``d(wd_j)/dx``, and ``d/dw`` of ``(sin(w t),
+    cos(w t))`` is ``t`` times ``(cos(w t), -sin(w t))``.  Every derivative
+    is therefore a per-mode coefficient vector over the eight bases, and
+    the chain rule through ``(w_j, zeta_j, wd_j, a_j)`` and then ``theta``
+    acts on those coefficients alone.  ``a_j`` is linear in ``a0``, so the
+    ``a0`` row is the response's own bracket times ``da_j/da0 / denom_j``,
+    and ``modal_response`` is ``a0`` times it.
 
     Returns
     -------
     SensitivityCoefficients
-        ``coef[s, j, p] @ bases[j]`` is the derivative of mode ``j`` of
-        sample ``s`` with respect to parameter ``PARAMETER_NAMES[p]``, with
-        ``bases[j]`` mode ``j``'s time bases from
-        ``_grouped_bases(rate[s], times, buffers)``.
+        ``rate[s]`` holds the forcing's ``i w``, exactly ``0 + i w``, then
+        mode ``j``'s ``-zeta_j w_j + i wd_j`` at ``j + 1``.  ``coef[s, j,
+        p] @ bases[j]`` is the derivative of mode ``j`` of sample ``s``
+        with respect to parameter ``PARAMETER_NAMES[p]``, with ``bases[j]``
+        mode ``j``'s time bases from ``_grouped_bases(rate[s], times,
+        buffers)``.
     """
     rows = np.asarray(rows, dtype=float)
-    cf = _closed_form(model, rows)
-    wj, zj, wd, denom, w = cf.wj, cf.zj, cf.wd, cf.denom, cf.w
-    _, alpha, beta, _, _ = rows.T[:, :, None]  # (B, 1) columns
-    trans_sin, cross, detune, _ = cf.bracket
+    wj, zj, wd, aj = modal_constants(model, rows)
+    _, alpha, beta, w, _ = rows.T[:, :, None]  # (B, 1) columns
+    # The forcing frequency's powers by Python's scalar pow.  numpy's array
+    # power runs a SIMD kernel on CPUs with AVX-512 that rounds about 5 % of
+    # cubes differently, and the upper stories' near-cancelling
+    # sensitivities carry such last-bit changes into the reports.
+    w2, w3 = (np.array([[x**p] for x in w[:, 0].tolist()]) for p in (2, 3))
+    tilt = 2.0 * zj**2 - 1.0
+    trans_sin = (w3 + wj**2 * w * tilt) / wd
+    cross = 2.0 * zj * wj * w
+    detune = wj**2 - w2
+    denom = detune**2 + cross**2
+    bracket = np.stack([trans_sin, cross, detune, -cross])
     zero = np.zeros_like(wj)
     sq = np.sqrt(1.0 - zj**2)
-    tilt = 2.0 * zj**2 - 1.0
 
     # Partials of the per-mode constants, one row per x = (w_j, zeta_j, w).
     d_decay = np.stack([zj, wj, zero])  # of zeta_j w_j
@@ -557,7 +512,7 @@ def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoef
     d_trans = np.stack([
         (2.0 * wj * w * tilt - trans_sin * d_wd[0]) / wd,
         (4.0 * wj**2 * w * zj - trans_sin * d_wd[1]) / wd,
-        (3.0 * cf.w2 + wj**2 * tilt) / wd,
+        (3.0 * w2 + wj**2 * tilt) / wd,
     ])
     d_cross = np.stack([2.0 * zj * w, 2.0 * wj * w, 2.0 * zj * wj])
     d_detune = np.stack([2.0 * wj, zero, np.broadcast_to(-2.0 * w, wj.shape)])
@@ -572,8 +527,8 @@ def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoef
         d_phase * cross,
         d_phase * detune,
     ], axis=1)
-    d_wj, d_zeta, d_w = (cf.aj / denom) * np.concatenate(
-        [d_bracket - (d_denom / denom)[:, None] * cf.bracket, d_bases], axis=1
+    d_wj, d_zeta, d_w = (aj / denom) * np.concatenate(
+        [d_bracket - (d_denom / denom)[:, None] * bracket, d_bases], axis=1
     )
 
     cj = np.sqrt(model.eigenvalues)
@@ -585,9 +540,10 @@ def sensitivity_coefficients(model: ShearBuildingModel, rows) -> SensitivityCoef
         d_zeta / (2.0 * wj),
         d_zeta * (wj / 2.0),
         d_w,
-        np.concatenate([cf.bracket, np.zeros_like(cf.bracket)]) * (daj_da0 / denom),
+        np.concatenate([bracket, np.zeros_like(bracket)]) * (daj_da0 / denom),
     ])  # (parameter, basis, sample, mode)
-    return SensitivityCoefficients(cf.rate, np.ascontiguousarray(coef.transpose(2, 3, 0, 1)))
+    rate = np.concatenate([1j * w, -zj * wj + 1j * wd], axis=1)
+    return SensitivityCoefficients(rate, np.ascontiguousarray(coef.transpose(2, 3, 0, 1)))
 
 
 def _modal_sensitivities(

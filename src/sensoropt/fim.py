@@ -64,6 +64,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from collections import deque
@@ -618,10 +619,33 @@ class CountingEvaluator:
         self.n_objective += 1
         return value
 
-    def objective_regularized(self, z, eps: float) -> float:
-        value = mc_objective_regularized(z, self.fimset, eps)
+    @functools.cached_property
+    def eps(self) -> float:
+        """The ridge of ``score``'s fallback, computed once per evaluator."""
+        return regularization_scale(self.fimset)
+
+    @property
+    def empty_value(self) -> float:
+        """The empty configuration's ridge value, ``n_params log(eps)`` by definition."""
+        return self.fimset.n_params * math.log(self.eps)
+
+    def score(self, delta) -> tuple[float, bool]:
+        """Value (the negated objective) of a binary configuration, and whether it is exact.
+
+        The exact objective scores a configuration with a sensor; the ridge
+        fallback, ``eps I`` added to every sample's matrix, scores the empty
+        configuration and one that is singular in some sample.  Each call is
+        one counted evaluation.
+        """
+        z = np.asarray(delta, dtype=float)
+        if z.any():
+            try:
+                return -self.objective(z), True
+            except SingularInformationError:
+                pass
+        value = mc_objective_regularized(z, self.fimset, self.eps)
         self.n_objective += 1
-        return value
+        return -value, False
 
     def gradient_hessian(self, z) -> tuple[np.ndarray, np.ndarray]:
         self.n_gradient += 1

@@ -37,6 +37,22 @@ def _ode_mode(wj, zj, aj, w, t_end, t_eval):
     )
 
 
+def _full_table(rate, times, buffers):
+    """``_damped_bases`` of every rate at once, in an array of its own."""
+    out = np.empty((rate.size, buffers.damped.shape[1]), dtype=complex)
+    return building._damped_bases(rate, times, out)
+
+
+def _bases_from(table, modes, t):
+    """The eight time bases of ``modes`` by their formula from a full table."""
+    damped = table[1:][modes]
+    bases = np.empty((damped.shape[0], 8, t.size))
+    bases[:, 0], bases[:, 1] = damped.imag, damped.real
+    bases[:, 2], bases[:, 3] = table[0].imag, table[0].real
+    bases[:, 4:] = bases[:, :4] * t
+    return bases
+
+
 # A value outside each parameter's range; NaN is outside every one.
 OUT_OF_RANGE = {"omega0": -6.28, "alpha": -0.1, "beta": -1e-4, "omega": -6.28, "a0": math.inf}
 
@@ -348,9 +364,9 @@ class TestResponseSensitivities:
         # mode's damped row, and for every mode the one forcing row, whose
         # rate is exactly i w.  Bases 4 to 7 are t times bases 0 to 3, bit
         # for bit.  Also on an arbitrary time array.  The bases come one
-        # group of modes at a time, built over memory that the modal
-        # derivatives of the groups before them overwrite; at 10,001 steps
-        # the 50 modes take 25 groups.
+        # group of modes at a time, each from the table rows of its own
+        # modes, which equal those of a table built for all modes at once;
+        # at 10,001 steps the 50 modes take 25 groups.
         model = build_uniform_shear_model(n_dof)
         theta = sample_prior(default_prior(), 1, seed=4).values
         rate = building.sensitivity_coefficients(model, theta).rate[0]
@@ -360,42 +376,47 @@ class TestResponseSensitivities:
         for times in grids + (np.array([0.0, 0.3, 2.5, 7.0]),):
             t = times.times if isinstance(times, TimeGrid) else times
             buffers = building.sensitivity_buffers(n_dof, times)
-            table = building._damped_bases(rate, times, np.empty_like(buffers.damped))
+            table = _full_table(rate, times, buffers)
             seen = np.zeros(n_dof, dtype=bool)
             for modes, bases in building._grouped_bases(rate, times, buffers):
                 seen[modes] = True
-                damped = table[1:][modes]
-                assert np.array_equal(bases[:, 0], damped.imag)
-                assert np.array_equal(bases[:, 1], damped.real)
-                assert np.array_equal(bases[:, 2], np.broadcast_to(table[0].imag, damped.shape))
-                assert np.array_equal(bases[:, 3], np.broadcast_to(table[0].real, damped.shape))
-                assert np.array_equal(bases[:, 4:], bases[:, :4] * t)
+                assert np.array_equal(bases, _bases_from(table, modes, t))
                 # The forcing row agrees with the direct sine and cosine to
                 # within 4 units in the last place of the largest phase w t,
                 # the size of that phase's own rounding (about 2 were seen).
                 bound = 4 * np.spacing(w * t[-1])
                 assert np.max(np.abs(bases[:, 2] - np.sin(w * t))) <= bound
                 assert np.max(np.abs(bases[:, 3] - np.cos(w * t))) <= bound
-                # The groups after this one write modal rows over the table.
+                # The caller writes the group's modal rows before the next
+                # group's bases are built.
                 buffers.modal[modes] = np.nan
             assert seen.all()
 
     def test_shared_buffers_keep_the_table_rows_still_needed(self):
-        # The groups run last first, and a group starting at mode s writes
-        # modal rows that share memory with the table.  Every table row a
-        # later group reads, the forcing row and those of modes below s,
-        # must end before mode s's modal row begins, on every record length.
+        # A group's bases, and after them its table rows, lie in the memory
+        # of the story-major sensitivities, apart from each other and from
+        # the modal rows, so building the bases leaves the rows they are
+        # built from intact, on every record length.  Every group's bases
+        # equal those of a table built apart, bit for bit.
         records = [TimeGrid(n, 0.01) for n in [*range(1, 65), 999, 1000, 1001, 10_001, 12_501]]
+        address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
         for times in records + [np.linspace(0.0, 1.0, n) for n in (1, 4, 100)]:
-            n_times = times.n_steps if isinstance(times, TimeGrid) else times.size
-            group = max(1, building.BASES_FLOATS // (8 * n_times))
+            t = times.times if isinstance(times, TimeGrid) else times
+            group = max(1, building.BASES_FLOATS // (8 * t.size))
             n_dof = 2 * group + 1
             buffers = building.sensitivity_buffers(n_dof, times)
             assert buffers.bases.shape[0] == group
-            address = lambda a: a.__array_interface__["data"][0]  # noqa: E731
-            for start in range(group, n_dof, group):
-                table_end = address(buffers.damped[start]) + buffers.damped[start].nbytes
-                assert table_end <= address(buffers.modal[start]), (times, start)
+            story = buffers.story.base
+            for part in (buffers.bases, buffers.damped):
+                assert address(story) <= address(part), times
+                assert address(part) + part.nbytes <= address(story) + story.nbytes, times
+            assert not np.shares_memory(buffers.bases, buffers.damped), times
+            assert not np.shares_memory(buffers.modal, story), times
+            j = np.arange(1, n_dof + 1)
+            rate = np.concatenate([[2.5j], -0.01 * j + 1j * (1.0 + 0.03 * j)])
+            table = _full_table(rate, times, buffers)
+            for modes, bases in building._grouped_bases(rate, times, buffers):
+                assert np.array_equal(bases, _bases_from(table, modes, t)), (times, modes)
 
     def test_entries_finite_and_shaped(self):
         model = build_uniform_shear_model(4)

@@ -606,7 +606,7 @@ class TestSetStack:
         model, grid = build_uniform_shear_model(20), TimeGrid(100, 0.01)
         samples = sample_prior(default_prior(), 500, seed=24)
         buffers = fim.sensitivity_buffers(model.n_dof, grid)
-        buffer_bytes = buffers.modal.base.nbytes + buffers.story.base.nbytes
+        buffer_bytes = buffers.modal.nbytes + buffers.story.base.nbytes
         compute_elementary_set(model, samples, grid)  # imports and caches first
         tracemalloc.start()
         try:
@@ -657,6 +657,21 @@ class TestSetStack:
             expected = mc_objective(np.append(z, 1.0), ridged)
             value = fim.mc_objective_regularized(z, four_dof_fimset, eps)
             assert value == pytest.approx(expected, rel=1e-13, abs=1e-13)
+
+    def test_score_takes_the_ridge_only_where_the_objective_cannot(self, four_dof_fimset):
+        # Story 1 alone is singular once its matrices are zero; the empty
+        # configuration is singular always.  Every call counts.
+        matrices = four_dof_fimset.matrices.copy()
+        matrices[:, 0] = 0.0
+        fimset = _fimset_from(matrices)
+        evaluator = fim.CountingEvaluator(fimset)
+        eps = fim.regularization_scale(fimset)
+        for delta in (np.eye(4, dtype=int)[0], np.zeros(4, dtype=int)):
+            ridge = -fim.mc_objective_regularized(delta.astype(float), fimset, eps)
+            assert evaluator.score(delta) == (ridge, False)
+        assert evaluator.score(np.ones(4, dtype=int)) == (-mc_objective(np.ones(4), fimset), True)
+        assert evaluator.empty_value == pytest.approx(ridge, rel=1e-12)
+        assert evaluator.n_objective == 3
 
 
 class TestObjectiveShape:
