@@ -73,8 +73,9 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     Configurations are scored by ``CountingEvaluator.score``: exactly, or
     through its ridge fallback where singular in some sample.  The empty
     starting configuration is singular in every sample; its ridge value,
-    ``empty_value``, is a constant that cancels out of every round-1
-    comparison.  The final value is the exact objective: the last round's
+    ``empty_value``, is computed once, uncounted, with the bits a scored
+    empty configuration gets, so every round-1 gain is measured from the
+    same base.  The final value is the exact objective: the last round's
     value of the chosen configuration when that was exact (the same call
     on the same set), otherwise recomputed without the ridge.
     """

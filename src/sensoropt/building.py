@@ -150,7 +150,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShearBuildingModel:
     """Normalized structural model with cached modal data.
 

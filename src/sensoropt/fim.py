@@ -32,14 +32,14 @@ not rely on that: it pins the BLAS to one thread while it runs.
   10,000 elements between threads.  So each dot covers at most
   ``OUTER_CHUNK`` steps, and the chunks are added in order; the chunks
   keep the dots on one thread also where no BLAS pin is found.
-- ``_assemble_all`` forms ``Q(z)`` for every sample, as the objective and
-  the Newton step need it, with one gemv over stories: ``z`` times
-  ``entries``, the (n_dof, 25 n_samples) entry-major array that the
-  elementary stage writes and the set keeps as its only copy of the
-  matrices, so that each output entry is one sum of ``K = n_dof``
-  products and the result is already the (5, 5, n_samples) stack the
-  factor works on.  Each set assembles into one stack of its own,
-  allocated once.
+- ``ElementaryFimSet.assemble`` forms ``Q(z)`` for every sample, for the
+  objective, the Newton step and the preflight check, with one gemv over
+  stories: ``z`` times ``entries``, the (n_dof, 25 n_samples)
+  entry-major array that the elementary stage writes and the set keeps as
+  its only copy of the matrices, so that each output entry is one sum of
+  ``K = n_dof`` products and the result is already the (5, 5, n_samples)
+  stack the factor works on.  Each set assembles into one stack of its
+  own, allocated once.
 - ``_StackFactor.factor`` factors every sample's ``Q(z)`` in place, for
   the objective's log-determinant, the Newton step's whitening and the
   preflight check, and the Newton step inverts the factors.  Both treat
@@ -64,11 +64,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +112,7 @@ class _StackFactor:
     def __init__(self, stack: np.ndarray):
         n, _, n_samples = stack.shape
         self.stack = stack
-        # ``_assemble_all`` writes into this view; every stack here is C-contiguous.
+        # ``ElementaryFimSet.assemble`` writes into this view; the stack is C-contiguous.
         self.flat = stack.reshape(-1)
         self.diagonal = np.einsum("ppk->kp", stack)  # (n_samples, 5), a writable view
         self.pivot = np.empty(n_samples)
@@ -174,7 +172,6 @@ class _StackFactor:
         return 2.0 * float(np.add.reduce(self.logdets)) / self.logdets.size
 
 
-@dataclass(frozen=True)
 class ElementaryFimSet:
     """Per-sample, per-story elementary information matrices.
 
@@ -190,31 +187,27 @@ class ElementaryFimSet:
     ``matrices`` is a strided view of the same array.  A read-only
     ``matrices`` argument already laid out that way, such as the
     elementary stage's or another set's ``matrices``, is kept without a
-    copy; any other array is copied into that layout once.  Each set also
-    owns one (5, 5, n_samples) stack with its factor's temporaries, and
-    every objective call and Newton step on the set reuses it: calls on
-    one set are not thread-safe.
+    copy; any other array is copied into that layout once.
+
+    Each set also owns one (5, 5, n_samples) stack with its factor's
+    temporaries (``assemble``), and every objective call, Newton step and
+    preflight check on the set reuses it: calls on one set are not
+    thread-safe.  Sets compare by identity.
     """
 
-    matrices: np.ndarray
-    entries: np.ndarray = field(init=False, repr=False, compare=False)
-    _work: _StackFactor = field(init=False, repr=False, compare=False)
-    _inverse_t: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n_samples, n_dof, n_params, _ = self.matrices.shape
-        stack = self.matrices.transpose(1, 2, 3, 0)
-        if self.matrices.flags.writeable or not stack.flags.c_contiguous:
+    def __init__(self, matrices: np.ndarray):
+        n_samples, n_dof, n_params, _ = matrices.shape
+        stack = matrices.transpose(1, 2, 3, 0)
+        if matrices.flags.writeable or not stack.flags.c_contiguous:
             stack = stack.copy()
             stack.setflags(write=False)
-        object.__setattr__(self, "entries", stack.reshape(n_dof, -1))
-        object.__setattr__(self, "matrices", stack.transpose(3, 0, 1, 2))
-        object.__setattr__(
-            self, "_work", _StackFactor(np.empty((n_params, n_params, n_samples)))
-        )
+        self.n_samples, self.n_dof, self.n_params = n_samples, n_dof, n_params
+        self.entries = stack.reshape(n_dof, -1)
+        self.matrices = stack.transpose(3, 0, 1, 2)
+        self._work = _StackFactor(np.empty((n_params, n_params, n_samples)))
         # The Newton step's inverse factors, transposed: only the entries
         # on and above the diagonal are ever written, so the rest stay zero.
-        object.__setattr__(self, "_inverse_t", np.zeros((n_samples, n_params, n_params)))
+        self._inverse_t = np.zeros((n_samples, n_params, n_params))
 
     def __reduce__(self):
         # Copies and pickles are built afresh from the matrices: a copied
@@ -222,17 +215,18 @@ class ElementaryFimSet:
         # copy shares the read-only matrices.
         return ElementaryFimSet, (self.matrices,)
 
-    @property
-    def n_samples(self) -> int:
-        return self.matrices.shape[0]
+    def assemble(self, z) -> _StackFactor:
+        """Write every sample's ``Q(z) = sum_i z_i Q_i`` into the set's stack; return its factor.
 
-    @property
-    def n_dof(self) -> int:
-        return self.matrices.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        return self.matrices.shape[2]
+        One gemv over stories, ``z @ entries``: each output entry is one
+        sum of ``K = n_dof`` products.  Why that is thread-invariant is in
+        the module docstring; the non-BLAS ``np.einsum("i,kipq->pqk", z,
+        matrices)`` is the fallback.  The next call on the set overwrites
+        the stack.
+        """
+        z = _as_placement(z, self.n_dof)
+        np.matmul(z, self.entries, out=self._work.flat)
+        return self._work
 
 
 # Mode-rows (samples times stories) whose sensitivity coefficients are
@@ -460,21 +454,6 @@ def check_sensor_vector(z, n_dof: int, budget: int | None = None,
     return z
 
 
-def _assemble_all(z: np.ndarray, fimset: ElementaryFimSet, out=None) -> np.ndarray:
-    """Information matrices ``Q(z) = sum_i z_i Q_i`` of every sample, shape (5, 5, n_samples).
-
-    One gemv over stories, ``z @ entries`` with ``entries`` of shape
-    (n_dof, 25 n_samples): each output entry is one sum of ``K = n_dof``
-    products.  Written into ``out`` (shape (25 n_samples,)) when given.
-    Why that is thread-invariant is in the module docstring; the
-    non-BLAS ``np.einsum("i,kipq->pqk", z, fimset.matrices)`` is the
-    fallback.
-    """
-    n_params = fimset.n_params
-    flat = np.matmul(z, fimset.entries, out=out)
-    return flat.reshape(n_params, n_params, fimset.n_samples)
-
-
 def mc_objective(z, fimset: ElementaryFimSet) -> float:
     """Monte-Carlo placement objective, the negated mean log-determinant.
 
@@ -484,9 +463,14 @@ def mc_objective(z, fimset: ElementaryFimSet) -> float:
     assembled into the set's own stack and factored there, so calls on
     one set are not thread-safe.
     """
-    z = _as_placement(z, fimset.n_dof)
-    work = fimset._work
-    _assemble_all(z, fimset, out=work.flat)
+    return -fimset.assemble(z).mean_logdet()
+
+
+def _ridged_objective(z, fimset: ElementaryFimSet, eps: float) -> float:
+    # ``mc_objective_regularized``, under a name of its own that
+    # ``CountingEvaluator.empty_value`` calls without counting an evaluation.
+    work = fimset.assemble(z)
+    work.diagonal += eps
     return -work.mean_logdet()
 
 
@@ -496,11 +480,7 @@ def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
     Defined for any PSD combination, including rank-deficient ones; used
     only as a documented fallback for degenerate configurations.
     """
-    z = _as_placement(z, fimset.n_dof)
-    work = fimset._work
-    _assemble_all(z, fimset, out=work.flat)
-    work.diagonal += eps
-    return -work.mean_logdet()
+    return _ridged_objective(z, fimset, eps)
 
 
 def regularization_scale(fimset: ElementaryFimSet) -> float:
@@ -550,11 +530,8 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     docstring; ``whitened_elements_einsum`` in ``tests/test_fim.py`` is the
     non-BLAS fallback for the whitening.
     """
-    z = _as_placement(z, fimset.n_dof)
     n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
-    work = fimset._work
-    _assemble_all(z, fimset, out=work.flat)
-    chol = work.factor()
+    chol = fimset.assemble(z).factor()
     # Contiguous right-hand operands: numpy's batched matmul over transposed
     # views took two to three times as long at 50 stories.  Entry (i, j) of
     # X = L^{-1} is written straight into entry (j, i) of the right-hand
@@ -590,12 +567,11 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
 def preflight_check(fimset: ElementaryFimSet) -> None:
     """Reject sample sets whose full-support information matrix is singular.
 
-    Verifies that the story-averaged matrix is positive definite for every
-    sample; interior placement vectors then always yield PD matrices.
+    Verifies that ``Q(1) = sum_i Q_i``, assembled and factored in the set's
+    stack, is positive definite for every sample; interior placement
+    vectors then always yield PD matrices.
     """
-    n_params = fimset.n_params
-    stack = np.mean(fimset.entries, axis=0).reshape(n_params, n_params, fimset.n_samples)
-    _StackFactor(stack).factor(
+    fimset.assemble(np.ones(fimset.n_dof)).factor(
         "sample {} is degenerate: its full-support information matrix is not "
         "positive definite"
     )
@@ -624,10 +600,10 @@ class CountingEvaluator:
         """The ridge of ``score``'s fallback, computed once per evaluator."""
         return regularization_scale(self.fimset)
 
-    @property
+    @functools.cached_property
     def empty_value(self) -> float:
-        """The empty configuration's ridge value, ``n_params log(eps)`` by definition."""
-        return self.fimset.n_params * math.log(self.eps)
+        """``score`` of the empty configuration, bit for bit, computed once and not counted."""
+        return -_ridged_objective(np.zeros(self.fimset.n_dof), self.fimset, self.eps)
 
     def score(self, delta) -> tuple[float, bool]:
         """Value (the negated objective) of a binary configuration, and whether it is exact.

@@ -110,7 +110,7 @@ def lognormal_underlying(mean: float, std: float) -> tuple[float, float]:
     return math.log(mean) - var_ln / 2.0, math.sqrt(var_ln)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Monte-Carlo sample of system parameters, one row per draw.
 

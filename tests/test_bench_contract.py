@@ -4,9 +4,10 @@
 ``PATCHES`` table for a timing wrapper, and ``bench/run.py`` gates greedy at
 ``budget * (2 * n_dof - budget)`` objective evaluations, counted as calls
 of the ``mc_objective`` bound in ``fim``.  A refactor that renames a
-patched binding, changes greedy's count or drops a report key that
-``bench/run.py`` or ``bench/test_harness.py`` reads would otherwise fail
-only inside a benchmark run.  ``tracing.py`` and ``run.py`` are loaded by
+patched binding, changes greedy's count, moves an evaluation past the
+bindings the tracer counts or drops a report key that ``bench/run.py`` or
+``bench/test_harness.py`` reads would otherwise fail only inside a
+benchmark run.  ``tracing.py`` and ``run.py`` are loaded by
 path, as they are.
 """
 
@@ -91,3 +92,15 @@ def test_closest_fifty_story_seeds_pass_the_placement_gate(seed, tmp_path):
     pipeline.write_report(pipeline.run_pipeline(validate_config({**raw, "seed": seed})), tmp_path)
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert harness.check_report("fifty-story", report) == []
+
+
+@pytest.mark.parametrize("workload", ["small-building", "fifty-story"])
+def test_traced_counters_match_the_report(workload, tmp_path):
+    # A traced benchmark placement: every counter the tracer derives from
+    # its spans, the threaded stage's per-sample sensitivity calls among
+    # them (fifty-story), equals the count the report gives.
+    raw = json.loads((ROOT / "bench" / "workloads" / f"{workload}.json").read_text(encoding="utf-8"))
+    tracer = tracing.Tracer()
+    place_s = harness.place(validate_config({**raw, "seed": 1}), tmp_path, tracer)
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert harness.check_counters(tracer.layer_metrics(place_s), report) == []

@@ -350,20 +350,20 @@ class TestThreadedStage:
 class TestAssembleQ:
     def test_zero_weights(self):
         fimset = _fimset_from([[np.eye(5), 2 * np.eye(5)]])
-        assert np.all(fim._assemble_all(np.zeros(2), fimset) == 0.0)
+        assert np.all(fimset.assemble(np.zeros(2)).stack.copy() == 0.0)
 
     def test_one_hot(self):
         rng = np.random.default_rng(0)
         elems = rng.normal(size=(3, 5, 5))
         fimset = _fimset_from([elems])
-        np.testing.assert_array_equal(fim._assemble_all(np.eye(3)[1], fimset)[:, :, 0], elems[1])
+        np.testing.assert_array_equal(fimset.assemble(np.eye(3)[1]).stack.copy()[:, :, 0], elems[1])
 
     def test_linearity_midpoint(self):
         rng = np.random.default_rng(1)
         fimset = _fimset_from([rng.normal(size=(4, 5, 5))])
         z1, z2 = rng.uniform(size=4), rng.uniform(size=4)
-        mid = fim._assemble_all((z1 + z2) / 2, fimset)
-        avg = (fim._assemble_all(z1, fimset) + fim._assemble_all(z2, fimset)) / 2
+        mid = fimset.assemble((z1 + z2) / 2).stack.copy()
+        avg = (fimset.assemble(z1).stack.copy() + fimset.assemble(z2).stack.copy()) / 2
         np.testing.assert_allclose(mid, avg, atol=1e-15 * np.max(np.abs(avg)))
 
     def test_length_mismatch(self):
@@ -558,7 +558,7 @@ class TestCholeskyAll:
 
     def test_empty_configuration(self, four_dof_fimset):
         # Greedy scores the empty configuration first: every sample is zero.
-        assert _raises_singular(fim._assemble_all(np.zeros(4), four_dof_fimset)).sample_index == 0
+        assert _raises_singular(four_dof_fimset.assemble(np.zeros(4)).stack.copy()).sample_index == 0
 
 
 class TestSetStack:
@@ -670,8 +670,40 @@ class TestSetStack:
             ridge = -fim.mc_objective_regularized(delta.astype(float), fimset, eps)
             assert evaluator.score(delta) == (ridge, False)
         assert evaluator.score(np.ones(4, dtype=int)) == (-mc_objective(np.ones(4), fimset), True)
-        assert evaluator.empty_value == pytest.approx(ridge, rel=1e-12)
+        assert evaluator.empty_value == ridge
         assert evaluator.n_objective == 3
+
+    def test_empty_value_is_the_scored_empty_configuration(self, four_dof_fimset):
+        # Greedy's round 1 takes story 1's gain from ``empty_value`` and every
+        # other story's from a scored empty configuration, so the two must be
+        # the same bits.  ``n_params log(eps)`` missed them on the last three
+        # sets.  ``empty_value`` is not a counted evaluation.
+        sets = [four_dof_fimset] + [
+            compute_elementary_set(
+                build_uniform_shear_model(n_dof), sample_prior(default_prior(), n_samples, seed=seed),
+                TimeGrid(n_steps, 0.01),
+            )
+            for n_dof, n_samples, seed, n_steps in ((4, 50, 1, 100), (20, 30, 2, 100), (7, 37, 3, 50))
+        ]
+        for fimset in sets:
+            evaluator = fim.CountingEvaluator(fimset)
+            empty_value = evaluator.empty_value
+            assert empty_value == evaluator.score(np.zeros(fimset.n_dof, dtype=int))[0]
+            assert evaluator.n_objective == 1
+
+
+def test_array_records_compare_by_identity(four_dof_fimset):
+    # Field-wise equality would compare arrays, which raises on ``==`` and
+    # on ``hash``; records holding arrays are equal only to themselves.
+    records = [
+        (build_uniform_shear_model(4), build_uniform_shear_model(4)),
+        (sample_prior(default_prior(), 3, seed=1), sample_prior(default_prior(), 3, seed=1)),
+        (four_dof_fimset, ElementaryFimSet(matrices=four_dof_fimset.matrices)),
+    ]
+    for record, twin in records:
+        assert record == record
+        assert record != twin
+        assert len({record, twin, record}) == 2
 
 
 class TestObjectiveShape:

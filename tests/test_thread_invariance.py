@@ -244,7 +244,7 @@ def test_modal_matmul_matches_non_blas_einsum():
 
 
 def test_assembly_matmul_matches_non_blas_einsum(four_dof_fimset):
-    # The einsum is the fallback named in fim._assemble_all.
+    # The einsum is the fallback named in ElementaryFimSet.assemble.
     fifty = compute_elementary_set(
         build_uniform_shear_model(50), sample_prior(default_prior(), 10, seed=4),
         TimeGrid(200, 0.01),
@@ -259,5 +259,5 @@ def test_assembly_matmul_matches_non_blas_einsum(four_dof_fimset):
             # its PSD bound sqrt(Q_pp Q_qq), the same for both sums.
             diagonal = np.einsum("ppk->pk", reference)
             scale = np.sqrt(diagonal[:, None, :] * diagonal[None, :, :])
-            error = np.abs(fim._assemble_all(z, fimset) - reference)
+            error = np.abs(fimset.assemble(z).stack.copy() - reference)
             assert np.all(error <= 1e-14 * scale), np.max(error / scale)
