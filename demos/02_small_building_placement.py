@@ -56,7 +56,6 @@ report = compare(
     [("optimal", placed.delta), ("greedy", greedy.delta), ("exhaustive", exact.delta),
      ("low", fixed["low"]), ("high", fixed["high"]), ("common", fixed["common"])],
     elems,
-    reference_label="optimal",
     evaluation_counts={"greedy": greedy.n_evaluations, "exhaustive": exact.n_evaluations},
 )
 print(f"\n{'case':12s} {'stories':16s} {'objective':>10s} {'bits gain':>10s}")

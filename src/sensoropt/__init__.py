@@ -36,11 +36,11 @@ from .fim import (
     compute_elementary_set,
     mc_gradient_hessian,
     mc_objective,
-    preflight_check,
 )
 from .solver import (
     ConvergenceError,
     certify_or_repair,
+    preflight_check,
     solve_relaxed,
 )
 from .baselines import compare, exhaustive, fixed_configs, greedy_forward

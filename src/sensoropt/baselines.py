@@ -75,9 +75,10 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     starting configuration is singular in every sample; its ridge value,
     ``empty_value``, is computed once, uncounted, with the bits a scored
     empty configuration gets, so every round-1 gain is measured from the
-    same base.  The final value is the exact objective: the last round's
-    value of the chosen configuration when that was exact (the same call
-    on the same set), otherwise recomputed without the ridge.
+    same base.  The final value is the last round's exact value of the
+    chosen configuration.  Where the last round could score it only
+    through the ridge, the exact objective is singular there, and
+    recomputing it raises ``SingularInformationError`` naming the sample.
     """
     n = fimset.n_dof
     check_budget(budget, n)
@@ -148,14 +149,14 @@ def fixed_configs(n_dof: int, budget: int) -> dict[str, np.ndarray]:
 def compare(
     configs: list[tuple[str, np.ndarray]],
     fimset: ElementaryFimSet,
-    reference_label: str | None = None,
     evaluation_counts: dict[str, int] | None = None,
 ) -> ComparisonReport:
     """Score labeled binary configurations and express gaps in bits.
 
-    ``bits_gain`` of a row is ``(V_ref - V) / ln 2`` where ``V_ref`` is the
-    reference row's value (the first row by default): the number of bits
-    of information the reference placement gains over that configuration.
+    The first row is the reference.  ``bits_gain`` of a row is
+    ``(V_ref - V) / ln 2`` where ``V_ref`` is the first row's value: the
+    number of bits of information the reference placement gains over that
+    configuration.
     """
     if not configs:
         raise ValueError("no configurations to compare")
@@ -171,9 +172,7 @@ def compare(
                 sample_index=exc.sample_index,
                 label=label,
             ) from exc
-    reference_label = reference_label or configs[0][0]
-    if reference_label not in values:
-        raise ValueError(f"reference label {reference_label!r} not among configurations")
+    reference_label = configs[0][0]
     v_ref = values[reference_label]
     report = ComparisonReport(reference_label=reference_label)
     for label, delta in configs:

@@ -124,10 +124,11 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not _is_count(self.n_steps) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        # Written so that NaN fails the check.
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -143,6 +144,11 @@ class TimeGrid:
         _, m = _grid_split(self.n_steps)
         coarse = self.dt * np.arange(0, self.n_steps + 1, m)
         return _read_only(np.concatenate([coarse, self.dt * np.arange(m)]))
+
+
+def _is_count(n) -> bool:
+    """Whether ``n`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -196,7 +202,7 @@ def build_uniform_shear_model(n_dof: int) -> ShearBuildingModel:
         Number of stories, >= 1.  Story 1 is at the base, story
         ``n_dof`` is the roof.
     """
-    if not isinstance(n_dof, (int, np.integer)) or n_dof < 1:
+    if not _is_count(n_dof) or n_dof < 1:
         raise ValueError(f"n_dof must be a positive integer, got {n_dof!r}")
     n_dof = int(n_dof)
 

@@ -12,7 +12,8 @@ bitwise identical at 1, 2 and 8 BLAS threads at the sizes the tests
 check: every output entry is one short sum within one sample (or one
 mode), so a BLAS thread split can only divide the outputs between
 threads, never the sum behind one of them.  The elementary stage does
-not rely on that: it pins the BLAS to one thread while it runs.
+not rely on that: it pins the BLAS to one thread while it runs
+(``_one_blas_thread``, which the solver's Newton direction also holds).
 
 - The elementary matrices take two passes per block of
   ``max(1, ROWS // n_dof)`` samples: ``building.sensitivity_coefficients``
@@ -33,8 +34,8 @@ not rely on that: it pins the BLAS to one thread while it runs.
   ``OUTER_CHUNK`` steps, and the chunks are added in order; the chunks
   keep the dots on one thread also where no BLAS pin is found.
 - ``ElementaryFimSet.assemble`` forms ``Q(z)`` for every sample, for the
-  objective, the Newton step and the preflight check, with one gemv over
-  stories: ``z`` times ``entries``, the (n_dof, 25 n_samples)
+  objective, the Newton step and the solver's full-support check, with
+  one gemv over stories: ``z`` times ``entries``, the (n_dof, 25 n_samples)
   entry-major array that the elementary stage writes and the set keeps as
   its only copy of the matrices, so that each output entry is one sum of
   ``K = n_dof`` products and the result is already the (5, 5, n_samples)
@@ -42,7 +43,7 @@ not rely on that: it pins the BLAS to one thread while it runs.
   own, allocated once.
 - ``_StackFactor.factor`` factors every sample's ``Q(z)`` in place, for
   the objective's log-determinant, the Newton step's whitening and the
-  preflight check, and the Newton step inverts the factors.  Both treat
+  full-support check, and the Newton step inverts the factors.  Both treat
   each of the 25 entries as one vector over the samples and use
   elementwise arithmetic only, so no BLAS or LAPACK call and no thread
   count enters.
@@ -191,7 +192,7 @@ class ElementaryFimSet:
 
     Each set also owns one (5, 5, n_samples) stack with its factor's
     temporaries (``assemble``), and every objective call, Newton step and
-    preflight check on the set reuses it: calls on one set are not
+    full-support check on the set reuses it: calls on one set are not
     thread-safe.  Sets compare by identity.
     """
 
@@ -300,20 +301,40 @@ def _blas_thread_control():
     return None
 
 
+# The BLAS thread count is one setting of the whole process, so its pin is
+# shared: the holders currently inside ``_one_blas_thread``, and the count
+# the first of them found.
+_PIN_LOCK = threading.Lock()
+_pin_holders = 0
+_pin_saved = 1
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Pin the BLAS to one thread, restoring its count on exit; yields whether it could."""
+    """Pin the BLAS to one thread while any holder is inside; yields whether it could.
+
+    Re-entrant across threads: the first holder saves the thread count and
+    sets it to 1, and the last holder to leave restores it, so one
+    thread's pin never ends while another thread's is still held.
+    """
+    global _pin_holders, _pin_saved
     control = _blas_thread_control()
     if control is None:
         yield False
         return
     set_threads, get_threads = control
-    before = get_threads()
-    set_threads(1)
+    with _PIN_LOCK:
+        if not _pin_holders:
+            _pin_saved = get_threads()
+            set_threads(1)
+        _pin_holders += 1
     try:
         yield True
     finally:
-        set_threads(before)
+        with _PIN_LOCK:
+            _pin_holders -= 1
+            if not _pin_holders:
+                set_threads(_pin_saved)
 
 
 def _cores() -> int:
@@ -350,9 +371,9 @@ def compute_elementary_set(
     result depends only on (model, samples, times).  The queue is first in,
     first out, so every block below a failed one has been taken and is
     finished, and the error raised, that of the lowest failing block, is
-    the one of the first failing sample.  The pin holds for the whole
-    process, so stages run at the same time from two threads of the
-    caller's may leave the BLAS on one thread.
+    the one of the first failing sample.  The pin is shared by the whole
+    process: stages run at the same time from two threads of the caller's
+    both run pinned, and the last to finish restores the caller's count.
     """
     n_samples, n_dof = samples.n_samples, model.n_dof
     # The set's only copy of the matrices, entry-major (``ElementaryFimSet``).
@@ -562,19 +583,6 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
         trace_sum += np.sum(packed[:, :, :n_params], axis=(0, 2))
         hess_sum += np.sum(packed @ packed.transpose(0, 2, 1).copy(), axis=0)
     return -trace_sum / n_samples, hess_sum / n_samples
-
-
-def preflight_check(fimset: ElementaryFimSet) -> None:
-    """Reject sample sets whose full-support information matrix is singular.
-
-    Verifies that ``Q(1) = sum_i Q_i``, assembled and factored in the set's
-    stack, is positive definite for every sample; interior placement
-    vectors then always yield PD matrices.
-    """
-    fimset.assemble(np.ones(fimset.n_dof)).factor(
-        "sample {} is degenerate: its full-support information matrix is not "
-        "positive definite"
-    )
 
 
 class CountingEvaluator:

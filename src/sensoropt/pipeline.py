@@ -29,9 +29,11 @@ from .baselines import (
 )
 from .building import TimeGrid, build_uniform_shear_model
 from .config import RunConfig
-from .fim import ElementaryFimSet, compute_elementary_set, preflight_check
+from .fim import ElementaryFimSet, compute_elementary_set
 from .priors import sample_prior
-from .solver import BinaryPlacement, RelaxedSolution, certify_or_repair, solve_relaxed
+from .solver import (
+    BinaryPlacement, RelaxedSolution, certify_or_repair, preflight_check, solve_relaxed,
+)
 
 REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
@@ -189,9 +191,7 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
             for label in fixed_wanted:
                 configs.append((label, fixed[label]))
         if len(configs) > 1:
-            comparison = compare(
-                configs, elems, reference_label="optimal", evaluation_counts=counts
-            )
+            comparison = compare(configs, elems, evaluation_counts=counts)
 
     return PlacementReport(
         config=config,

@@ -22,6 +22,10 @@ STANDARD_GRAVITY = 9.81  # m/s^2
 # Ground-acceleration amplitudes below this are redrawn: they would leave
 # one information direction numerically rank-deficient.
 _A0_FLOOR = 1e-6
+# Rounds of redraws before a prior whose draws stay below the floor is
+# rejected: one that puts less than half its mass below the floor leaves
+# a sample there after this many rounds with odds below 1e-30.
+_A0_REDRAWS = 100
 
 _DISTRIBUTIONS = ("lognormal", "normal")
 
@@ -135,6 +139,9 @@ def sample_prior(spec: PriorSpec, n_samples: int, seed: int) -> SampleSet:
 
     Draws are made parameter by parameter in canonical order, so the
     result is bit-identical across runs and independent of thread count.
+    Amplitudes ``a0`` below ``_A0_FLOOR`` in magnitude are redrawn, for
+    at most ``_A0_REDRAWS`` rounds; a sample still below the floor after
+    them raises ``ValueError``.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -149,11 +156,17 @@ def sample_prior(spec: PriorSpec, n_samples: int, seed: int) -> SampleSet:
     for name, marginal in zip(PARAMETER_NAMES, spec.marginals()):
         column = draw(marginal, n_samples)
         if name == "a0":
-            while True:
-                tiny = np.flatnonzero(np.abs(column) < _A0_FLOOR)
-                if tiny.size == 0:
+            tiny = np.flatnonzero(np.abs(column) < _A0_FLOOR)
+            for _ in range(_A0_REDRAWS):
+                if not tiny.size:
                     break
                 column[tiny] = draw(marginal, tiny.size)
+                tiny = tiny[np.abs(column[tiny]) < _A0_FLOOR]
+            if tiny.size:
+                raise ValueError(
+                    f"a0: {tiny.size} of {n_samples} samples stayed below the floor "
+                    f"{_A0_FLOOR:g} after {_A0_REDRAWS} rounds of redraws"
+                )
         columns.append(column)
     values = np.column_stack(columns)
     values.setflags(write=False)

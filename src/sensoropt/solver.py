@@ -23,6 +23,14 @@ at each trial point give its residual, and at the accepted point the gap
 and the next step.  The objective is evaluated at the start and at each
 accepted point, for the trace.
 
+The relaxed problem's precondition is that ``Q(z) = sum_i z_i Q_i`` be
+positive definite in every sample at every interior z.  Since
+``Q(1) >= Q(z) >= min(z) Q(1)`` there, that holds exactly when it holds
+for the full support ``Q(1)``, which ``preflight_check`` tests, naming
+the first degenerate sample.  The pipeline runs it once, as its own
+stage; ``solve_relaxed`` does not repeat it, because its first
+evaluation at the start fails on the same samples.
+
 ``certify_or_repair`` turns the relaxed optimum into a binary
 configuration.  It holds every story whose weight is within
 ``AMBIGUITY_THRESHOLD`` of 0 or 1 at that rounded value and scores every
@@ -32,11 +40,12 @@ proof of optimality over all C(n, k) configurations.
 
 Each Newton system is factored with ``np.linalg.cholesky`` and solved by
 two ``np.linalg.solve`` calls on the triangular factors
-(``_newton_direction``).  These LAPACK calls gave bitwise-identical
-results at 1, 2 and 8 threads of OpenBLAS 0.3.31 (Haswell kernels) for
-4, 50 and 80 stories, which ``tests/test_thread_invariance.py`` checks,
-but not for 200 stories, where OpenBLAS starts to split the work
-between threads.
+(``_newton_direction``).  These LAPACK calls run with the BLAS pinned to
+one thread (``fim._one_blas_thread``): unpinned they gave the same bits
+at 1, 2 and 8 threads of OpenBLAS 0.3.31 (Haswell kernels) for 4, 50 and
+80 stories, but not for 200 stories, where OpenBLAS starts to split the
+work between threads.  ``tests/test_thread_invariance.py`` checks the
+direction at all four sizes.
 """
 
 from __future__ import annotations
@@ -50,10 +59,10 @@ import numpy as np
 from .fim import (
     CountingEvaluator,
     ElementaryFimSet,
+    _one_blas_thread,
     check_budget,
     check_sensor_vector,
     mc_objective,
-    preflight_check,
 )
 
 _ARMIJO_SLOPE = 0.01
@@ -144,17 +153,20 @@ def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, f
     triangular systems together.  When the factorization fails, a ridge of
     ``1e-12`` times the mean diagonal is added to ``hess`` (in place) and
     the factorization retried.  A system with an infinite or NaN entry
-    raises ``ValueError``.
+    raises ``ValueError``.  The factorization and the solves run with the
+    BLAS pinned to one thread, so their bits do not depend on the thread
+    count.
     """
     if not (np.all(np.isfinite(hess)) and np.all(np.isfinite(grad))):
         raise ValueError("the Newton system has infinite or NaN entries")
-    try:
-        chol = np.linalg.cholesky(hess)
-    except np.linalg.LinAlgError:
-        hess[np.diag_indices_from(hess)] += 1e-12 * np.trace(hess) / hess.shape[0]
-        chol = np.linalg.cholesky(hess)
     rhs = np.stack([grad, np.ones_like(grad)], axis=1)
-    hinv_g, hinv_1 = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
+    with _one_blas_thread():
+        try:
+            chol = np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            hess[np.diag_indices_from(hess)] += 1e-12 * np.trace(hess) / hess.shape[0]
+            chol = np.linalg.cholesky(hess)
+        hinv_g, hinv_1 = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs)).T
     w = -float(hinv_g.sum()) / float(hinv_1.sum())
     return -(hinv_g + w * hinv_1), w
 
@@ -189,13 +201,16 @@ def solve_relaxed(
 
     Raises
     ------
+    SingularInformationError
+        From the first evaluation, at the start, if some sample's ``Q(1)``
+        is not positive definite: the sample that ``preflight_check``
+        names as degenerate.
     ConvergenceError
         If ``MAX_ITERATIONS`` steps do not close the duality gap, or a
         line search fails; the trace is attached.
     """
     n = fimset.n_dof
     check_budget(budget, n)
-    preflight_check(fimset)
 
     evaluator = CountingEvaluator(fimset)
     if budget == n:
@@ -294,6 +309,19 @@ def solve_relaxed(
         converged=True,
         duality_gap=gap,
         trace=trace,
+    )
+
+
+def preflight_check(fimset: ElementaryFimSet) -> None:
+    """Reject sample sets whose full-support information matrix is singular.
+
+    Verifies that ``Q(1) = sum_i Q_i``, assembled and factored in the set's
+    stack, is positive definite for every sample; interior placement
+    vectors then always yield PD matrices.
+    """
+    fimset.assemble(np.ones(fimset.n_dof)).factor(
+        "sample {} is degenerate: its full-support information matrix is not "
+        "positive definite"
     )
 
 

@@ -301,7 +301,6 @@ def test_criterion_8_comparison_ordering(fifty_story_run):
         [("optimal", placed.delta), ("greedy", greedy.delta),
          ("low", fixed["low"]), ("high", fixed["high"]), ("common", fixed["common"])],
         elems,
-        reference_label="optimal",
     )
     v = {row.label: row.objective_value for row in report.rows}
     if not (v["low"] < v["common"] < v["high"] <= v["greedy"] <= v["optimal"]):

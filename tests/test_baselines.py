@@ -40,6 +40,18 @@ class TestGreedyForward:
             previous = result.delta
         assert len(result.picks) == 3
 
+    def test_final_value_of_a_ridge_scored_placement_raises(self):
+        # On a one-step record every story's matrix has rank one, so every
+        # one-sensor configuration is singular and scored through the ridge;
+        # the exact objective of the pick is singular too.
+        fimset = compute_elementary_set(
+            build_uniform_shear_model(8), sample_prior(default_prior(), 10, seed=1),
+            TimeGrid(1, 0.01),
+        )
+        with pytest.raises(SingularInformationError) as excinfo:
+            greedy_forward(fimset, 1)
+        assert excinfo.value.sample_index == 0
+
     def test_within_submodular_guarantee_band(self, four_dof_fimset):
         # measured on the range from the worst to the best configuration
         result = greedy_forward(four_dof_fimset, 2)

@@ -107,6 +107,11 @@ class TestBuildUniformShearModel:
         with pytest.raises(ValueError):
             build_uniform_shear_model(0)
 
+    def test_bool_dof_rejected(self):
+        # ``True`` is an int to ``isinstance``, but not a story count.
+        with pytest.raises(ValueError, match="n_dof must be a positive integer"):
+            build_uniform_shear_model(True)
+
     @pytest.mark.parametrize("n_dof", [1, 2, 5, 17, 50])
     def test_eigen_invariants(self, n_dof):
         model = build_uniform_shear_model(n_dof)
@@ -219,6 +224,19 @@ def test_empty_time_array_rejected(function):
     model = build_uniform_shear_model(3)
     with pytest.raises(ValueError, match="^times must hold at least one time"):
         function(model, PRIOR_MEANS, np.array([]))
+
+
+@pytest.mark.parametrize("n_steps, dt, message", [
+    (3, math.nan, "dt must be positive and finite"),
+    (3, math.inf, "dt must be positive and finite"),
+    (2.5, 0.1, "n_steps must be a positive integer"),
+    (True, 0.1, "n_steps must be a positive integer"),
+])
+def test_time_grid_rejects_what_the_config_rejects(n_steps, dt, message):
+    # A NaN or infinite step would give non-finite sensitivities, and a
+    # fractional step count fails later, in sizing the bases' tables.
+    with pytest.raises(ValueError, match=message):
+        TimeGrid(n_steps, dt)
 
 
 class TestPhysicalResponse:

@@ -347,6 +347,72 @@ class TestThreadedStage:
         assert set(inside) == {1}
 
 
+@pytest.fixture
+def fake_blas_count(monkeypatch):
+    """A fake BLAS thread control at four threads; the list holds its count."""
+    count = [4]
+
+    def set_threads(n):
+        count[0] = n
+
+    monkeypatch.setattr(fim, "_blas_thread_control", lambda: (set_threads, lambda: count[0]))
+    return count
+
+
+def test_blas_pin_lasts_until_its_last_holder_leaves(fake_blas_count):
+    # Two threads' pins overlap, and the first to take it leaves first: the
+    # count stays at one while the other holds the pin, and the last holder
+    # restores the count the first found.
+    count = fake_blas_count
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with fim._one_blas_thread():
+            entered.set()
+            release.wait(10)
+
+    helper = threading.Thread(target=hold)
+    with fim._one_blas_thread() as pinned:
+        assert pinned
+        helper.start()
+        assert entered.wait(10)
+    try:
+        assert count[0] == 1
+    finally:
+        release.set()
+        helper.join(10)
+    assert not helper.is_alive()
+    assert count[0] == 4
+
+
+def test_blas_pin_holds_under_many_threads(fake_blas_count):
+    # More holders than cores, switching often: every holder sees one
+    # thread, and the count the first holder found comes back at the end.
+    count = fake_blas_count
+    seen = []
+    start = threading.Barrier(8)
+
+    def hold():
+        start.wait(10)
+        for _ in range(1000):
+            with fim._one_blas_thread():
+                seen.append(count[0])
+
+    holders = [threading.Thread(target=hold) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for holder in holders:
+            holder.start()
+        for holder in holders:
+            holder.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(holder.is_alive() for holder in holders)
+    assert len(seen) == 8 * 1000 and set(seen) == {1}
+    assert count[0] == 4
+
+
 class TestAssembleQ:
     def test_zero_weights(self):
         fimset = _fimset_from([[np.eye(5), 2 * np.eye(5)]])

@@ -87,13 +87,13 @@ class TestWriteReport:
         assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
 
-def _run_cli(args, env_extra=None, cwd=None):
+def _run_cli(args, env_extra=None, cwd=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "sensoropt.cli", *args],
-        capture_output=True, text=True, env=env, cwd=cwd,
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout,
     )
 
 
@@ -154,6 +154,21 @@ class TestCli:
         proc = _run_cli(["oracle", "--config", str(config_path)])
         assert proc.returncode == 1
         assert "30045015 configurations" in proc.stderr  # C(30, 10)
+
+    @pytest.mark.parametrize("a0", [
+        {"dist": "normal", "mean": 0.0, "std": 1e-9},
+        {"dist": "lognormal", "mean": 1e-8, "std": 0.1},
+    ])
+    def test_amplitude_prior_below_the_floor_fails_its_stage(self, tmp_path, a0):
+        # Every draw of these valid priors lies below the amplitude floor,
+        # so redrawing alone would never end; the timeout turns a hang into
+        # a failure.
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(dict(SMALL, prior={"a0": a0})))
+        proc = _run_cli(["place", "--config", str(config_path), "--quiet"], timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert "stage 'prior-sampling'" in proc.stderr
+        assert "a0: 100 of 100 samples stayed below the floor 1e-06" in proc.stderr
 
     def test_config_error_exit_code_and_all_violations(self, tmp_path):
         config_path = tmp_path / "bad.json"

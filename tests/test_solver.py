@@ -3,6 +3,7 @@ import pytest
 
 from sensoropt import (
     ConvergenceError,
+    SingularInformationError,
     TimeGrid,
     build_uniform_shear_model,
     certify_or_repair,
@@ -11,6 +12,7 @@ from sensoropt import (
     exhaustive,
     mc_gradient_hessian,
     mc_objective,
+    preflight_check,
     sample_prior,
     solve_relaxed,
 )
@@ -35,6 +37,20 @@ class TestSolveRelaxed:
         assert sol.iterations == 0
         assert sol.converged
         assert sol.duality_gap == 0.0
+
+    @pytest.mark.parametrize("budget", [2, 4])
+    def test_degenerate_sample_fails_the_first_evaluation(self, four_dof_fimset, budget):
+        # The solve runs no check of its own: its first evaluation factors
+        # Q(z0), which is positive definite exactly where Q(1) is, so it
+        # names the sample the preflight check names.
+        matrices = four_dof_fimset.matrices.copy()
+        matrices[[7, 30]] = 0.0
+        fimset = ElementaryFimSet(matrices=matrices)
+        with pytest.raises(SingularInformationError) as preflight:
+            preflight_check(fimset)
+        with pytest.raises(SingularInformationError) as solve:
+            solve_relaxed(fimset, budget)
+        assert preflight.value.sample_index == solve.value.sample_index == 7
 
     def test_infeasible_budget(self, four_dof_fimset):
         with pytest.raises(ValueError):
