@@ -40,9 +40,7 @@ print(
     f"{solution.objective_evaluations} objective evaluations"
 )
 
-placed = certify_or_repair(
-    solution.z_star, elems, BUDGET, objective_relaxed=solution.objective_relaxed
-)
+placed = certify_or_repair(solution.z_star, elems, BUDGET)
 print(f"binary placement: stories {placed.stories}, certified: {placed.certified_optimal}")
 
 # The exhaustive optimum over all C(4, 2) = 6 configurations must agree.
@@ -52,13 +50,15 @@ print("matches the exhaustive optimum over all configurations")
 
 greedy = greedy_forward(elems, BUDGET)
 fixed = fixed_configs(N_DOF, BUDGET)
-report = compare(
-    [("optimal", placed.delta), ("greedy", greedy.delta), ("exhaustive", exact.delta),
-     ("low", fixed["low"]), ("high", fixed["high"]), ("common", fixed["common"])],
+# (label, placement, evaluations spent finding it); the first row is the reference.
+rows = compare(
+    [("optimal", placed.delta, solution.objective_evaluations + placed.objective_evaluations),
+     ("greedy", greedy.delta, greedy.n_evaluations),
+     ("exhaustive", exact.delta, exact.n_evaluations),
+     ("low", fixed["low"], 1), ("high", fixed["high"], 1), ("common", fixed["common"], 1)],
     elems,
-    evaluation_counts={"greedy": greedy.n_evaluations, "exhaustive": exact.n_evaluations},
 )
 print(f"\n{'case':12s} {'stories':16s} {'objective':>10s} {'bits gain':>10s}")
-for row in report.rows:
+for row in rows:
     stories = ",".join(map(str, row.stories))
     print(f"{row.label:12s} {stories:16s} {row.objective_value:10.4f} {row.bits_gain:10.3f}")

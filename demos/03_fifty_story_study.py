@@ -30,14 +30,14 @@ out = write_report(report, "runs/fifty-story-demo")
 placed = report.placement
 print("instrumented stories:", ", ".join(map(str, placed.stories)))
 print(f"relaxed objective  : {report.relaxed.objective_relaxed:.4f}")
-print(f"binary objective   : {placed.objective_binary:.4f}  (gap {placed.gap:.2e})")
+print(f"binary objective   : {placed.objective_binary:.4f}  (gap {report.gap:.2e})")
 print(f"certified optimal  : {placed.certified_optimal}")
 print(
     f"solver cost        : {report.relaxed.iterations} Newton steps, "
     f"{report.relaxed.objective_evaluations} objective evaluations"
 )
 print(f"\n{'case':10s} {'objective':>10s} {'bits gain':>10s} {'evaluations':>12s}")
-for row in report.comparison.rows:
+for row in report.comparison:
     print(
         f"{row.label:10s} {row.objective_value:10.4f} "
         f"{row.bits_gain:10.3f} {row.n_evaluations:12d}"

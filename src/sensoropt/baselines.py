@@ -7,7 +7,7 @@ Everything here scores configurations by the expected log-determinant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .fim import (
     check_sensor_vector,
     mc_objective,
 )
-from .solver import ENUMERATION_CAP, best_combination
+from .solver import ENUMERATION_CAP, best_combination, story_numbers
 
 LN2 = math.log(2.0)
 
@@ -46,18 +46,6 @@ class ComparisonRow:
     objective_value: float
     bits_gain: float
     n_evaluations: int
-
-
-@dataclass
-class ComparisonReport:
-    reference_label: str
-    rows: list[ComparisonRow] = field(default_factory=list)
-
-    def row(self, label: str) -> ComparisonRow:
-        for row in self.rows:
-            if row.label == label:
-                return row
-        raise KeyError(label)
 
 
 def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
@@ -147,43 +135,32 @@ def fixed_configs(n_dof: int, budget: int) -> dict[str, np.ndarray]:
 
 
 def compare(
-    configs: list[tuple[str, np.ndarray]],
-    fimset: ElementaryFimSet,
-    evaluation_counts: dict[str, int] | None = None,
-) -> ComparisonReport:
+    rows: list[tuple[str, np.ndarray, int]], fimset: ElementaryFimSet
+) -> list[ComparisonRow]:
     """Score labeled binary configurations and express gaps in bits.
 
-    The first row is the reference.  ``bits_gain`` of a row is
+    ``rows`` holds ``(label, delta, n_evaluations)`` triples, each checked
+    and scored once, in order, into one ``ComparisonRow``; labels need not
+    be distinct.  The first row is the reference: ``bits_gain`` of a row is
     ``(V_ref - V) / ln 2`` where ``V_ref`` is the first row's value: the
     number of bits of information the reference placement gains over that
     configuration.
     """
-    if not configs:
+    if not rows:
         raise ValueError("no configurations to compare")
-    evaluation_counts = evaluation_counts or {}
-    values = {}
-    for label, delta in configs:
+    compared: list[ComparisonRow] = []
+    for label, delta, n_evaluations in rows:
         delta = check_sensor_vector(delta, fimset.n_dof, binary=True)
         try:
-            values[label] = -mc_objective(np.asarray(delta, dtype=float), fimset)
+            value = -mc_objective(delta, fimset)
         except SingularInformationError as exc:
             raise SingularInformationError(
                 f"configuration {label!r} is singular: {exc}",
                 sample_index=exc.sample_index,
                 label=label,
             ) from exc
-    reference_label = configs[0][0]
-    v_ref = values[reference_label]
-    report = ComparisonReport(reference_label=reference_label)
-    for label, delta in configs:
-        delta = np.asarray(delta, dtype=int)
-        report.rows.append(
-            ComparisonRow(
-                label=label,
-                stories=tuple(int(i) + 1 for i in np.flatnonzero(delta)),
-                objective_value=values[label],
-                bits_gain=(v_ref - values[label]) / LN2,
-                n_evaluations=evaluation_counts.get(label, 1),
-            )
-        )
-    return report
+        v_ref = compared[0].objective_value if compared else value
+        compared.append(ComparisonRow(
+            label, story_numbers(delta), value, (v_ref - value) / LN2, n_evaluations
+        ))
+    return compared

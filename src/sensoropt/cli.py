@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .config import BASELINE_LABELS, ConfigError, load_config
 from .pipeline import PipelineError, run_oracle, run_pipeline, write_report
-from .solver import ENUMERATION_CAP
+from .solver import ENUMERATION_CAP, story_numbers
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,7 +81,7 @@ def _run_oracle(args) -> int:
     payload = {
         "config": config.to_dict(),
         "delta": result.delta.tolist(),
-        "stories": [int(i) + 1 for i in result.delta.nonzero()[0]],
+        "stories": list(story_numbers(result.delta)),
         "objective_value": result.objective_value,
         "n_evaluations": result.n_evaluations,
     }
@@ -107,6 +107,9 @@ def main(argv=None) -> int:
         return 2
     except PipelineError as exc:
         print(f"error in {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reading and the stages raise the errors above
+        print(f"error writing report: {exc}", file=sys.stderr)
         return 1
 
 

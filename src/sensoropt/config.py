@@ -170,11 +170,13 @@ def validate_config(raw: dict) -> RunConfig:
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Read and validate a JSON configuration, with ``overrides`` merged over
     its top-level keys first so that they meet the same schema."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"not valid JSON: {exc}"]) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     if overrides and isinstance(raw, dict):
         raw.update(overrides)
     return validate_config(raw)

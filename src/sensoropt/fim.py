@@ -72,7 +72,7 @@ from collections import deque
 import numpy as np
 
 from .building import (
-    N_PARAMS, SensitivityBuffers, ShearBuildingModel, response_sensitivities,
+    N_PARAMS, SensitivityBuffers, ShearBuildingModel, _is_count, response_sensitivities,
     sensitivity_buffers, sensitivity_coefficients,
 )
 from .priors import SampleSet
@@ -193,11 +193,14 @@ class ElementaryFimSet:
     Each set also owns one (5, 5, n_samples) stack with its factor's
     temporaries (``assemble``), and every objective call, Newton step and
     full-support check on the set reuses it: calls on one set are not
-    thread-safe.  Sets compare by identity.
+    thread-safe.  Sets compare by identity.  A set needs at least one
+    sample.
     """
 
     def __init__(self, matrices: np.ndarray):
         n_samples, n_dof, n_params, _ = matrices.shape
+        if n_samples < 1:
+            raise ValueError("an elementary set needs at least one sample")
         stack = matrices.transpose(1, 2, 3, 0)
         if matrices.flags.writeable or not stack.flags.c_contiguous:
             stack = stack.copy()
@@ -446,7 +449,9 @@ def compute_elementary_set(
 
 
 def check_budget(budget: int, n_dof: int) -> None:
-    """Reject a sensor count outside ``1 <= budget <= n_dof``."""
+    """Reject a sensor count that is not an integer in ``1 <= budget <= n_dof``."""
+    if not _is_count(budget):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if not 1 <= budget <= n_dof:
         raise ValueError(f"budget must satisfy 1 <= budget <= {n_dof}, got {budget}")
 

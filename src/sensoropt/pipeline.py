@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import (
-    ComparisonReport,
+    ComparisonRow,
     ExhaustiveResult,
     compare,
     exhaustive,
@@ -52,13 +52,21 @@ class PipelineError(RuntimeError):
 
 @dataclass
 class PlacementReport:
+    """What each stage computed; ``gap``, ``proved_gap`` and the comparison's
+    reference (its first row's label) are derived from it.  ``comparison`` is
+    ``None`` when no baseline was compared."""
+
     config: RunConfig
     relaxed: RelaxedSolution
     placement: BinaryPlacement
-    comparison: ComparisonReport | None
+    comparison: list[ComparisonRow] | None
     skipped_baselines: dict[str, str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
-    version: str = __version__
+
+    @property
+    def gap(self) -> float:
+        """The relaxed objective minus the placement's, >= 0 up to roundoff."""
+        return self.relaxed.objective_relaxed - self.placement.objective_binary
 
     @property
     def proved_gap(self) -> float:
@@ -76,7 +84,7 @@ class PlacementReport:
         sol = self.relaxed
         placed = self.placement
         payload = {
-            "version": self.version,
+            "version": __version__,
             "config": self.config.to_dict(),
             "relaxed": {
                 "z_star": sol.z_star.tolist(),
@@ -93,7 +101,7 @@ class PlacementReport:
                 "stories": list(placed.stories),
                 "objective_binary": placed.objective_binary,
                 "certified_optimal": placed.certified_optimal,
-                "gap": placed.gap,
+                "gap": self.gap,
                 "proved_gap": self.proved_gap,
                 "ambiguous_stories": [i + 1 for i in placed.ambiguous_indices],
                 "objective_evaluations": placed.objective_evaluations,
@@ -103,8 +111,8 @@ class PlacementReport:
         }
         if self.comparison is not None:
             payload["comparison"] = {
-                "reference": self.comparison.reference_label,
-                "rows": [dataclasses.asdict(r) for r in self.comparison.rows],
+                "reference": self.comparison[0].label,
+                "rows": [dataclasses.asdict(r) for r in self.comparison],
             }
         return payload
 
@@ -160,38 +168,29 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
     with _Stage("solve", timings):
         solution = solve_relaxed(elems, config.budget)
     with _Stage("certify", timings):
-        placement = certify_or_repair(
-            solution.z_star,
-            elems,
-            config.budget,
-            objective_relaxed=solution.objective_relaxed,
-        )
+        placement = certify_or_repair(solution.z_star, elems, config.budget)
 
     comparison = None
     skipped: dict[str, str] = {}
     with _Stage("baselines", timings):
-        configs = [("optimal", placement.delta)]
-        counts = {
-            "optimal": solution.objective_evaluations + placement.objective_evaluations
-        }
+        n_optimal = solution.objective_evaluations + placement.objective_evaluations
+        rows = [("optimal", placement.delta, n_optimal)]
         if "greedy" in config.baselines:
             greedy = greedy_forward(elems, config.budget)
-            configs.append(("greedy", greedy.delta))
-            counts["greedy"] = greedy.n_evaluations
+            rows.append(("greedy", greedy.delta, greedy.n_evaluations))
         if "exhaustive" in config.baselines:
             try:
                 exact = exhaustive(elems, config.budget)
-                configs.append(("exhaustive", exact.delta))
-                counts["exhaustive"] = exact.n_evaluations
+                rows.append(("exhaustive", exact.delta, exact.n_evaluations))
             except ValueError as exc:
                 skipped["exhaustive"] = str(exc)
         fixed_wanted = [b for b in config.baselines if b in ("low", "high", "common")]
         if fixed_wanted:
             fixed = fixed_configs(config.n_dof, config.budget)
             for label in fixed_wanted:
-                configs.append((label, fixed[label]))
-        if len(configs) > 1:
-            comparison = compare(configs, elems, evaluation_counts=counts)
+                rows.append((label, fixed[label], 1))
+        if len(rows) > 1:
+            comparison = compare(rows, elems)
 
     return PlacementReport(
         config=config,
@@ -220,7 +219,7 @@ def _report_text(report: PlacementReport) -> str:
     lines.append(f"binary configuration      : {', '.join(map(str, placed.stories))}")
     lines.append(
         f"binary objective          : {placed.objective_binary:.6f}"
-        f"   gap: {placed.gap:.3e}   certified: {'yes' if placed.certified_optimal else 'no'}"
+        f"   gap: {report.gap:.3e}   certified: {'yes' if placed.certified_optimal else 'no'}"
     )
     lines.append(f"proved gap to the best binary placement: {report.proved_gap:.3e}")
     if placed.ambiguous_indices:
@@ -239,7 +238,7 @@ def _report_text(report: PlacementReport) -> str:
         lines.append("")
         lines.append("comparison (bits of gain of the optimal placement)")
         lines.append(f"{'case':12s} {'objective':>12s} {'bits gain':>10s} {'evaluations':>12s}")
-        for row in report.comparison.rows:
+        for row in report.comparison:
             lines.append(
                 f"{row.label:12s} {row.objective_value:12.4f} "
                 f"{row.bits_gain:10.3f} {row.n_evaluations:12d}"
@@ -247,7 +246,7 @@ def _report_text(report: PlacementReport) -> str:
     for label, reason in report.skipped_baselines.items():
         lines.append(f"skipped baseline {label}: {reason}")
     lines.append("")
-    lines.append(f"sensoropt {report.version}")
+    lines.append(f"sensoropt {__version__}")
     return "\n".join(lines) + "\n"
 
 

@@ -36,7 +36,11 @@ configuration.  It holds every story whose weight is within
 ``AMBIGUITY_THRESHOLD`` of 0 or 1 at that rounded value and scores every
 way of placing the remaining sensors among the ambiguous stories in
 between.  "Certified" means exactly that search was complete; it is not a
-proof of optimality over all C(n, k) configurations.
+proof of optimality over all C(n, k) configurations.  It returns only
+what the search found, the placement, its objective and the number of
+configurations scored; the gap to the relaxed optimum is the report's
+(``PlacementReport.gap``), because the search never reads the relaxed
+value.
 
 Each Newton system is factored with ``np.linalg.cholesky`` and solved by
 two ``np.linalg.solve`` calls on the triangular factors
@@ -134,14 +138,18 @@ class BinaryPlacement:
     delta: np.ndarray  # 0/1 ints, shape (n_dof,)
     objective_binary: float
     certified_optimal: bool
-    gap: float  # objective_relaxed - objective_binary, >= 0 up to roundoff
     ambiguous_indices: tuple[int, ...] = ()
     objective_evaluations: int = 0
 
     @property
     def stories(self) -> tuple[int, ...]:
         """Instrumented stories, 1-based."""
-        return tuple(int(i) + 1 for i in np.flatnonzero(self.delta))
+        return story_numbers(self.delta)
+
+
+def story_numbers(delta) -> tuple[int, ...]:
+    """The 1-based stories a binary configuration instruments."""
+    return tuple(int(i) + 1 for i in np.flatnonzero(delta))
 
 
 def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, float]:
@@ -370,7 +378,6 @@ def certify_or_repair(
     z_star: np.ndarray,
     fimset: ElementaryFimSet,
     budget: int,
-    objective_relaxed: float | None = None,
 ) -> BinaryPlacement:
     """Round a relaxed optimum, repairing its ambiguous entries by enumeration.
 
@@ -385,9 +392,8 @@ def certify_or_repair(
     configurations, the ``budget`` largest entries are placed instead (ties
     to the lower story) and the result is not certified.
     """
+    check_budget(budget, fimset.n_dof)
     z = check_sensor_vector(z_star, fimset.n_dof, budget=budget)
-    if objective_relaxed is None:
-        objective_relaxed = -mc_objective(z, fimset)
 
     eta = AMBIGUITY_THRESHOLD
     ambiguous = np.flatnonzero((z > eta) & (z < 1.0 - eta))
@@ -411,7 +417,6 @@ def certify_or_repair(
         delta=delta,
         objective_binary=value,
         certified_optimal=certified,
-        gap=objective_relaxed - value,
         ambiguous_indices=tuple(int(i) for i in ambiguous),
         objective_evaluations=evals,
     )

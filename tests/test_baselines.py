@@ -147,8 +147,8 @@ class TestFixedConfigs:
 class TestCompare:
     def test_reference_row_is_zero_bits(self, four_dof_fimset):
         delta = np.array([0, 1, 0, 1])
-        report = compare([("optimal", delta)], four_dof_fimset)
-        assert report.rows[0].bits_gain == 0.0
+        rows = compare([("optimal", delta, 1)], four_dof_fimset)
+        assert rows[0].bits_gain == 0.0
 
     def test_bits_formula_against_hand_arithmetic(self):
         # two synthetic configurations with known objective difference
@@ -159,12 +159,10 @@ class TestCompare:
         from sensoropt.fim import ElementaryFimSet
 
         fimset = ElementaryFimSet(matrices=elems)
-        report = compare(
-            [("a", np.array([0, 1])), ("b", np.array([1, 0]))], fimset
-        )
+        a, b = compare([("a", np.array([0, 1]), 1), ("b", np.array([1, 0]), 1)], fimset)
         # V(a) = 5, V(b) = 0, so b trails the reference by 5 / ln 2 bits
-        assert report.row("a").objective_value == pytest.approx(5.0, rel=1e-12)
-        assert report.row("b").bits_gain == pytest.approx(5.0 / math.log(2), rel=1e-12)
+        assert a.objective_value == pytest.approx(5.0, rel=1e-12)
+        assert b.bits_gain == pytest.approx(5.0 / math.log(2), rel=1e-12)
 
     def test_published_arithmetic_check(self):
         # 61.4 vs 57.5 in expected-log-determinant units is 5.6 bits
@@ -178,19 +176,38 @@ class TestCompare:
         elems[0, 0] = np.eye(5)
         fimset = ElementaryFimSet(matrices=elems)
         with pytest.raises(SingularInformationError) as excinfo:
-            compare([("dead", np.array([0, 1]))], fimset)
+            compare([("dead", np.array([0, 1]), 1)], fimset)
         assert excinfo.value.label == "dead"
 
     def test_non_finite_configuration_rejected(self, four_dof_fimset):
         delta = np.array([0.0, 1.0, np.nan, 1.0])
         with pytest.raises(ValueError, match="must be finite"):
-            compare([("optimal", np.array([0, 1, 0, 1])), ("broken", delta)], four_dof_fimset)
+            compare(
+                [("optimal", np.array([0, 1, 0, 1]), 1), ("broken", delta, 1)], four_dof_fimset
+            )
 
     def test_evaluation_counts_merged(self, four_dof_fimset):
-        report = compare(
-            [("optimal", np.array([0, 1, 0, 1])), ("greedy", np.array([1, 0, 0, 1]))],
+        optimal, greedy = compare(
+            [("optimal", np.array([0, 1, 0, 1]), 1), ("greedy", np.array([1, 0, 0, 1]), 12)],
             four_dof_fimset,
-            evaluation_counts={"greedy": 12},
         )
-        assert report.row("greedy").n_evaluations == 12
-        assert report.row("optimal").n_evaluations == 1
+        assert greedy.n_evaluations == 12
+        assert optimal.n_evaluations == 1
+
+    def test_repeated_labels_keep_their_own_values(self, four_dof_fimset):
+        deltas = [np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1])]
+        rows = compare([("a", d, 1) for d in deltas], four_dof_fimset)
+        assert [row.stories for row in rows] == [(1, 2), (3, 4)]
+        for row, delta in zip(rows, deltas):
+            assert row.objective_value == -mc_objective(delta.astype(float), four_dof_fimset)
+        assert rows[0].objective_value != rows[1].objective_value
+        assert rows[0].bits_gain == 0.0
+
+    def test_one_evaluation_per_row(self, monkeypatch, four_dof_fimset):
+        calls = []
+        monkeypatch.setattr(
+            baselines, "mc_objective", lambda z, s: calls.append(1) or mc_objective(z, s)
+        )
+        deltas = [np.array([0, 1, 0, 1]), np.array([1, 1, 0, 0]), np.array([0, 1, 0, 1])]
+        rows = compare([("row", d, 1) for d in deltas], four_dof_fimset)
+        assert len(calls) == len(rows) == 3

@@ -103,6 +103,9 @@ def test_traced_counters_match_the_report(workload, tmp_path):
     tracer = tracing.Tracer()
     place_s = harness.place(validate_config({**raw, "seed": 1}), tmp_path, tracer)
     report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
-    assert harness.check_counters(tracer.layer_metrics(place_s), report) == []
+    layers = tracer.layer_metrics(place_s)
+    assert harness.check_counters(layers, report) == []
     # The full-support check runs once, in the pipeline's preflight stage.
     assert [span[0] for span in tracer.spans].count("fim.preflight_check") == 1
+    # The comparison scores each row once.
+    assert layers["fim.objective_calls.compare"] == len(report["comparison"]["rows"])

@@ -19,16 +19,23 @@ from sensoropt import (
     SystemParameters,
     TimeGrid,
     UnsupportedDampingError,
+    baselines,
     build_uniform_shear_model,
+    certify_or_repair,
     compute_elementary_set,
     default_prior,
+    exhaustive,
     fim,
+    fixed_configs,
+    greedy_forward,
     mc_gradient_hessian,
     mc_objective,
     modal_constants,
     preflight_check,
     response_sensitivities,
     sample_prior,
+    solve_relaxed,
+    solver,
 )
 from sensoropt.fim import ElementaryFimSet
 
@@ -411,6 +418,40 @@ def test_blas_pin_holds_under_many_threads(fake_blas_count):
     assert not any(holder.is_alive() for holder in holders)
     assert len(seen) == 8 * 1000 and set(seen) == {1}
     assert count[0] == 4
+
+
+BUDGET_CHECKS = {
+    "solve_relaxed": solve_relaxed,
+    "certify_or_repair": lambda fimset, k: certify_or_repair(np.full(4, 0.5), fimset, k),
+    "greedy_forward": greedy_forward,
+    "exhaustive": exhaustive,
+    "fixed_configs": lambda fimset, k: fixed_configs(4, k),
+}
+
+
+@pytest.mark.parametrize("budget", [2.0, np.float64(2.0), True], ids=["float", "numpy-float", "bool"])
+@pytest.mark.parametrize("name", BUDGET_CHECKS)
+def test_budget_must_be_an_integer(monkeypatch, four_dof_fimset, name, budget):
+    # Rejected before any evaluation.
+    for module in (fim, solver, baselines):
+        monkeypatch.setattr(module, "mc_objective", None)
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        BUDGET_CHECKS[name](four_dof_fimset, budget)
+
+
+def test_budget_out_of_range_keeps_its_message():
+    with pytest.raises(ValueError, match=r"budget must satisfy 1 <= budget <= 4, got 5"):
+        fim.check_budget(5, 4)
+    fim.check_budget(np.int64(4), 4)
+
+
+def test_elementary_set_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        compute_elementary_set(
+            build_uniform_shear_model(4), SampleSet(np.empty((0, 5)), 0), TimeGrid(10, 0.01)
+        )
+    with pytest.raises(ValueError, match="at least one sample"):
+        ElementaryFimSet(np.empty((0, 4, 5, 5)))
 
 
 class TestAssembleQ:

@@ -37,7 +37,7 @@ class TestRunPipeline:
         assert report.relaxed.iterations == 0
 
     def test_comparison_counts_match_counters(self, small_report):
-        rows = {r.label: r for r in small_report.comparison.rows}
+        rows = {r.label: r for r in small_report.comparison}
         assert rows["greedy"].n_evaluations == 1 * (2 * 2 - 1)
         assert rows["exhaustive"].n_evaluations == 2
         assert rows["optimal"].n_evaluations == (
@@ -67,6 +67,16 @@ class TestWriteReport:
         assert payload["placement"]["stories"] == [2]
         assert payload["version"]
         assert "timings" not in payload  # volatile data lives in the sidecar
+
+    def test_derived_figures_are_the_written_ones(self, small_report, tmp_path):
+        out = write_report(small_report, tmp_path / "run")
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["placement"]["gap"] == small_report.gap
+        assert small_report.gap == (
+            small_report.relaxed.objective_relaxed - small_report.placement.objective_binary
+        )
+        assert payload["comparison"]["reference"] == small_report.comparison[0].label == "optimal"
+        assert payload["version"] == sensoropt.__version__
 
     def test_csv_layout(self, small_report, tmp_path):
         out = write_report(small_report, tmp_path / "run")
@@ -178,6 +188,25 @@ class TestCli:
         proc = _run_cli(["place", "--config", str(config_path)])
         assert proc.returncode == 2
         assert "dt" in proc.stderr and "infeasible" in proc.stderr
+
+    @pytest.mark.parametrize("content", [None, b"{\"n_dof\": \xff}"], ids=["missing", "not-utf8"])
+    def test_unreadable_config_is_a_configuration_error(self, tmp_path, content):
+        config_path = tmp_path / "c.json"
+        if content is not None:
+            config_path.write_bytes(content)
+        proc = _run_cli(["place", "--config", str(config_path)])
+        assert proc.returncode == 2, proc.stderr
+        assert f"cannot read {config_path}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_unwritable_out_fails_without_a_traceback(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(SMALL))
+        (tmp_path / "file").write_text("")
+        proc = _run_cli(["place", "--config", str(config_path), "--out", str(tmp_path / "file" / "run")])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error writing report: ")
+        assert "Traceback" not in proc.stderr
 
     def test_seed_override_meets_the_schema(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -60,9 +60,7 @@ class TestSolveRelaxed:
 
     def test_two_story_single_sensor_on_roof(self, two_dof_fimset):
         sol = solve_relaxed(two_dof_fimset, 1)
-        placed = certify_or_repair(
-            sol.z_star, two_dof_fimset, 1, objective_relaxed=sol.objective_relaxed
-        )
+        placed = certify_or_repair(sol.z_star, two_dof_fimset, 1)
         assert placed.stories == (2,)
 
     def test_feasibility_of_every_iterate(self, four_dof_fimset):
@@ -212,28 +210,25 @@ class TestRoundSolution:
         z = np.array([1.0, 0.0, 0.0, 1.0])
         placed = certify_or_repair(z, four_dof_fimset, 2)
         np.testing.assert_array_equal(placed.delta, [1, 0, 0, 1])
-        assert placed.gap == pytest.approx(0.0, abs=1e-12)
+        assert placed.objective_binary == -mc_objective(z, four_dof_fimset)
         assert placed.certified_optimal
 
     def test_top_k_selection(self, four_dof_fimset, no_enumeration):
         z = np.array([0.9, 0.6, 0.5, 0.0])
-        placed = certify_or_repair(z, four_dof_fimset, 2, objective_relaxed=0.0)
+        placed = certify_or_repair(z, four_dof_fimset, 2)
         np.testing.assert_array_equal(placed.delta, [1, 1, 0, 0])
         assert not placed.certified_optimal
 
     def test_tie_breaks_to_lower_story(self, four_dof_fimset, no_enumeration):
         z = np.array([0.5, 0.5, 0.5, 0.5])
-        placed = certify_or_repair(z, four_dof_fimset, 2, objective_relaxed=0.0)
+        placed = certify_or_repair(z, four_dof_fimset, 2)
         np.testing.assert_array_equal(placed.delta, [1, 1, 0, 0])
         assert not placed.certified_optimal
 
     def test_gap_is_relaxed_minus_binary(self, four_dof_fimset):
         sol = solve_relaxed(four_dof_fimset, 2)
-        placed = certify_or_repair(
-            sol.z_star, four_dof_fimset, 2, objective_relaxed=sol.objective_relaxed
-        )
-        assert placed.gap == sol.objective_relaxed - placed.objective_binary
-        assert placed.gap >= -1e-9
+        placed = certify_or_repair(sol.z_star, four_dof_fimset, 2)
+        assert sol.objective_relaxed - placed.objective_binary >= -1e-9
         assert placed.objective_binary == pytest.approx(
             -mc_objective(placed.delta.astype(float), four_dof_fimset), rel=1e-12
         )
@@ -259,9 +254,7 @@ class TestCertifyOrRepair:
 
     def test_repair_attains_exhaustive_optimum(self, four_dof_fimset):
         sol = solve_relaxed(four_dof_fimset, 2)
-        placed = certify_or_repair(
-            sol.z_star, four_dof_fimset, 2, objective_relaxed=sol.objective_relaxed
-        )
+        placed = certify_or_repair(sol.z_star, four_dof_fimset, 2)
         exact = exhaustive(four_dof_fimset, 2)
         assert placed.objective_binary == pytest.approx(exact.objective_value, abs=1e-9)
         np.testing.assert_array_equal(placed.delta, exact.delta)
@@ -271,9 +264,7 @@ class TestCertifyOrRepair:
         samples = sample_prior(default_prior(), 150, seed=5)
         fimset = compute_elementary_set(model, samples, TimeGrid(300, 0.01))
         sol = solve_relaxed(fimset, 2)
-        placed = certify_or_repair(
-            sol.z_star, fimset, 2, objective_relaxed=sol.objective_relaxed
-        )
+        placed = certify_or_repair(sol.z_star, fimset, 2)
         exact = exhaustive(fimset, 2)
         assert placed.objective_binary == pytest.approx(exact.objective_value, abs=1e-9)
 
@@ -301,7 +292,19 @@ class TestCertifyOrRepair:
         # NaN passes every range, budget and binary comparison; called as
         # the pipeline calls it, the repair used to return stories (1, 2).
         with pytest.raises(ValueError, match="must be finite"):
-            certify_or_repair(np.full(4, np.nan), four_dof_fimset, 2, objective_relaxed=1.0)
+            certify_or_repair(np.full(4, np.nan), four_dof_fimset, 2)
+
+    @pytest.mark.parametrize("cap", [6, 5], ids=["searched", "over-cap"])
+    def test_scores_only_what_it_reports(self, monkeypatch, four_dof_fimset, cap):
+        # Every objective call is one scored configuration: the relaxed
+        # value is not recomputed to fill a gap.
+        calls = []
+        mc = solver.mc_objective
+        monkeypatch.setattr(solver, "mc_objective", lambda z, s: calls.append(1) or mc(z, s))
+        monkeypatch.setattr(solver, "ENUMERATION_CAP", cap)
+        placed = certify_or_repair(np.array([0.6, 0.55, 0.45, 0.4]), four_dof_fimset, 2)
+        assert placed.certified_optimal == (cap == 6)
+        assert len(calls) == placed.objective_evaluations == (6 if cap == 6 else 1)
 
     def test_ambiguous_set_reported(self, four_dof_fimset):
         z = np.array([0.6, 0.55, 0.45, 0.4])
@@ -325,7 +328,7 @@ def test_no_single_swap_improves_a_certified_placement():
         TimeGrid(1000, 0.01),
     )
     sol = solve_relaxed(fimset, 20)
-    placed = certify_or_repair(sol.z_star, fimset, 20, objective_relaxed=sol.objective_relaxed)
+    placed = certify_or_repair(sol.z_star, fimset, 20)
     assert placed.certified_optimal
     for out in np.flatnonzero(placed.delta):
         for into in np.flatnonzero(placed.delta == 0):
