@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,11 +44,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out(args, config) -> Path:
+    """The output directory, checked before any stage runs and not created.
+
+    It must be a directory or not exist yet, and its nearest existing
+    ancestor must be a directory, so that a run cannot place for seconds
+    and then fail to write.
+    """
     if args.out is not None:
-        return Path(args.out)
-    if config.output_dir is not None:
-        return Path(config.output_dir)
-    return Path("sensoropt-run")
+        out = Path(args.out)
+    elif config.output_dir is not None:
+        out = Path(config.output_dir)
+    else:
+        out = Path("sensoropt-run")
+    path = out.absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
+    return out
 
 
 def _load(args):
@@ -61,8 +75,9 @@ def _load(args):
 
 def _run_place(args) -> int:
     config = _load(args)
+    out = _resolve_out(args, config)
     report = run_pipeline(config)
-    out = write_report(report, _resolve_out(args, config))
+    write_report(report, out)
     if not args.quiet:
         stories = ", ".join(map(str, report.placement.stories))
         print(f"instrumented stories : {stories}")
@@ -74,9 +89,9 @@ def _run_place(args) -> int:
 
 def _run_oracle(args) -> int:
     config = _load(args)
+    out = _resolve_out(args, config)
     result = run_oracle(config)
 
-    out = _resolve_out(args, config)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "config": config.to_dict(),

@@ -47,8 +47,9 @@ not rely on that: it pins the BLAS to one thread while it runs
   each of the 25 entries as one vector over the samples and use
   elementwise arithmetic only, so no BLAS or LAPACK call and no thread
   count enters.
-- The Newton step's gradient and Hessian (``mc_gradient_hessian``) come
-  from per-sample batched matmuls with an inner dimension of at most 15,
+- The Newton step's derivatives (``mc_gradient_hessian``) reuse the
+  factors its ``mc_objective`` call leaves in the stack, and come from
+  per-sample batched matmuls with an inner dimension of at most 15,
   summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
 
 ``tests/test_thread_invariance.py`` checks all of them at benchmark sizes,
@@ -533,18 +534,18 @@ _PACK_COLS = np.concatenate([np.arange(N_PARAMS), _OFF_COLS])
 _PACK_WEIGHTS = np.concatenate([np.ones(N_PARAMS), np.full(_OFF_ROWS.size, np.sqrt(2.0))])
 
 
-def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian of the Monte-Carlo objective with respect to z.
+def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian of the Monte-Carlo objective with respect to z.
 
-    With ``Q(z) = L_k L_k^T`` for sample k, the whitened elements
+    The value is ``mc_objective(z, fimset)``, which factors every sample's
+    ``Q(z) = L_k L_k^T`` in place in the set's stack.  The whitened elements
     ``W_ki = L_k^{-1} Q_i L_k^{-T}`` give gradient component
     ``-mean_k tr W_ki = -mean_k tr(Q^{-1} Q_i)`` and Hessian entry
     ``mean_k <W_ki, W_kj> = mean_k tr(Q^{-1} Q_i Q^{-1} Q_j)``, a symmetric
-    PSD matrix.  One factorization per sample serves every story: the
-    factors are taken in place in the set's stack, as the objective takes
-    them, and are inverted by forward substitution on ``L X = I``, column
-    by column over the same (5, 5, n_samples) vectors, so both are
-    elementwise.  The inverses go into a second stack the set keeps.
+    PSD matrix.  That one factorization per sample serves the value and
+    every story: the factors are inverted by forward substitution on
+    ``L X = I`` over the same (5, 5, n_samples) vectors, elementwise, into
+    a second stack the set keeps.
 
     Samples are taken in blocks of ``SAMPLE_BLOCK``.  Within a block, two
     batched matmuls whiten the elements (per sample, ``M = 5 n_dof`` and
@@ -557,7 +558,8 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
     non-BLAS fallback for the whitening.
     """
     n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
-    chol = fimset.assemble(z).factor()
+    value = mc_objective(z, fimset)
+    chol = fimset._work.stack
     # Contiguous right-hand operands: numpy's batched matmul over transposed
     # views took two to three times as long at 50 stories.  Entry (i, j) of
     # X = L^{-1} is written straight into entry (j, i) of the right-hand
@@ -587,7 +589,7 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[np.ndarray, np.nda
         packed = whitened[:, :, _PACK_ROWS, _PACK_COLS] * _PACK_WEIGHTS
         trace_sum += np.sum(packed[:, :, :n_params], axis=(0, 2))
         hess_sum += np.sum(packed @ packed.transpose(0, 2, 1).copy(), axis=0)
-    return -trace_sum / n_samples, hess_sum / n_samples
+    return value, -trace_sum / n_samples, hess_sum / n_samples
 
 
 class CountingEvaluator:
@@ -636,7 +638,8 @@ class CountingEvaluator:
         self.n_objective += 1
         return -value, False
 
-    def gradient_hessian(self, z) -> tuple[np.ndarray, np.ndarray]:
+    def gradient_hessian(self, z) -> tuple[float, np.ndarray, np.ndarray]:
+        self.n_objective += 1
         self.n_gradient += 1
         return mc_gradient_hessian(z, self.fimset)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .building import PARAMETER_NAMES
+from .building import PARAMETER_NAMES, _is_count
 
 STANDARD_GRAVITY = 9.81  # m/s^2
 
@@ -143,8 +143,8 @@ def sample_prior(spec: PriorSpec, n_samples: int, seed: int) -> SampleSet:
     at most ``_A0_REDRAWS`` rounds; a sample still below the floor after
     them raises ``ValueError``.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if not _is_count(n_samples) or n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def draw(marginal: Marginal, size: int) -> np.ndarray:

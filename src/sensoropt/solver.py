@@ -18,10 +18,9 @@ the feasible set, reached by putting the budget on the smallest gradient
 entries, is a lower bound on the relaxed minimum, and on the best binary
 placement (the report's ``proved_gap``).  ``duality_gap`` is the distance
 from h(z) down to that bound; the loop stops once it is at most
-``TOLERANCE``, or fails after ``MAX_ITERATIONS`` steps.  The derivatives
-at each trial point give its residual, and at the accepted point the gap
-and the next step.  The objective is evaluated at the start and at each
-accepted point, for the trace.
+``TOLERANCE``, or fails after ``MAX_ITERATIONS`` steps.  One evaluation
+at each trial point gives its objective and derivatives: the residual,
+and at the accepted point the trace's value, the gap and the next step.
 
 The relaxed problem's precondition is that ``Q(z) = sum_i z_i Q_i`` be
 positive definite in every sample at every interior z.  Since
@@ -243,8 +242,7 @@ def solve_relaxed(
         if np.any(z <= 0) or np.any(z >= 1):
             raise ValueError("z0 must be strictly interior to the box")
 
-    h_val = evaluator.objective(z)
-    grad_h, hess_h = evaluator.gradient_hessian(z)
+    h_val, grad_h, hess_h = evaluator.gradient_hessian(z)
     # Multipliers of z >= 0 and z <= 1 on the central path at sigma = 1,
     # and the budget multiplier that best balances the dual residual.
     lam_lo = 1.0 / z
@@ -283,7 +281,7 @@ def solve_relaxed(
             lam_lo_trial = lam_lo + step * dlam_lo
             lam_hi_trial = lam_hi + step * dlam_hi
             nu_trial = nu + step * dnu
-            grad_trial, hess_trial = evaluator.gradient_hessian(z_trial)
+            h_trial, grad_trial, hess_trial = evaluator.gradient_hessian(z_trial)
             if _residual_norm(
                 grad_trial, z_trial, lam_lo_trial, lam_hi_trial, nu_trial, sigma
             ) <= (1.0 - _ARMIJO_SLOPE * step) * residual:
@@ -293,8 +291,7 @@ def solve_relaxed(
             raise ConvergenceError(f"line search failed at duality gap {gap:.3g}", trace)
 
         z, lam_lo, lam_hi, nu = z_trial, lam_lo_trial, lam_hi_trial, nu_trial
-        grad_h, hess_h = grad_trial, hess_trial
-        h_val = evaluator.objective(z)
+        h_val, grad_h, hess_h = h_trial, grad_trial, hess_trial
         gap = duality_gap(z, grad_h, budget)
         trace.append(
             IterationRecord(

@@ -123,7 +123,7 @@ def test_criterion_3_derivative_consistency():
     for _ in range(10):
         budget = int(rng.integers(1, 4))
         z = random_feasible_z(rng, 4, budget, mix=0.6)
-        grad, hess = mc_gradient_hessian(z, elems)
+        _, grad, hess = mc_gradient_hessian(z, elems)
         step = 1e-6
         for i in range(4):
             zp, zm = z.copy(), z.copy()
@@ -137,7 +137,7 @@ def test_criterion_3_derivative_consistency():
             zp[i] += step
             zm[i] -= step
             fd_hess[:, i] = (
-                mc_gradient_hessian(zp, elems)[0] - mc_gradient_hessian(zm, elems)[0]
+                mc_gradient_hessian(zp, elems)[1] - mc_gradient_hessian(zm, elems)[1]
             ) / (2 * step)
         worst_hess = max(
             worst_hess, np.max(np.abs(hess - fd_hess)) / np.max(np.abs(hess))
@@ -247,7 +247,7 @@ def test_criterion_6_convexity_suite():
 
     for _ in range(10):
         z = random_feasible_z(rng, 4, int(rng.integers(1, 4)), mix=0.6)
-        _, hess = mc_gradient_hessian(z, elems)
+        _, _, hess = mc_gradient_hessian(z, elems)
         if np.min(np.linalg.eigvalsh(hess)) < -1e-8 * np.trace(hess):
             failures.append("hessian not PSD within tolerance")
 

@@ -17,9 +17,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sensoropt import baselines, pipeline, validate_config
+from sensoropt import baselines, fim, pipeline, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,3 +110,26 @@ def test_traced_counters_match_the_report(workload, tmp_path):
     assert [span[0] for span in tracer.spans].count("fim.preflight_check") == 1
     # The comparison scores each row once.
     assert layers["fim.objective_calls.compare"] == len(report["comparison"]["rows"])
+
+
+def test_traced_backtracks_count_a_rejected_trial(monkeypatch, tmp_path):
+    # A NaN gradient at the fourth derivative evaluation rejects one trial
+    # point.  Each trial point is one objective evaluation, so the count the
+    # benchmark derives from them is the true number of backtracks.
+    calls = []
+    gradient_hessian = fim.CountingEvaluator.gradient_hessian
+
+    def rejected_once(self, z):
+        value, grad, hess = gradient_hessian(self, z)
+        calls.append(z)
+        return value, (np.full_like(grad, np.nan) if len(calls) == 4 else grad), hess
+
+    monkeypatch.setattr(fim.CountingEvaluator, "gradient_hessian", rejected_once)
+    raw = json.loads((ROOT / "bench" / "workloads" / "small-building.json").read_text(encoding="utf-8"))
+    tracer = tracing.Tracer()
+    place_s = harness.place(validate_config({**raw, "seed": 1}), tmp_path, tracer)
+    relaxed = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["relaxed"]
+    layers = tracer.layer_metrics(place_s)
+    assert layers["solver.backtracks"] == 1
+    assert relaxed["gradient_evaluations"] - relaxed["iterations"] - 1 == 1
+    assert layers["solver.objective_evals"] == layers["fim.gradient_hessian_calls"] == len(calls)

@@ -63,6 +63,19 @@ def test_readme_headline_counts_match_the_committed_run():
     assert demo_counts == (solve, repair, total)
 
 
+def test_readme_proved_gap_matches_the_committed_run():
+    # README quotes the committed 50-story run's proved gap to two digits.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(
+        r"`proved_gap`\s+\(([0-9.e-]+)\s+nats\s+on\s+the\s+bundled\s+50-story\s+study\)", readme
+    )
+    assert match, "sentence missing: proved_gap on the bundled 50-story study"
+    report = json.loads(
+        (ROOT / "runs" / "fifty-story" / "report.json").read_text(encoding="utf-8")
+    )
+    assert float(match.group(1)) == float(f"{report['placement']['proved_gap']:.2g}")
+
+
 @pytest.mark.parametrize(
     "demo", ["01_model_and_response.py", "02_small_building_placement.py"]
 )

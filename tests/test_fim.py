@@ -48,11 +48,11 @@ def _fimset_from(matrices) -> ElementaryFimSet:
 
 
 def _gradient(z, fimset):
-    return mc_gradient_hessian(z, fimset)[0]
+    return mc_gradient_hessian(z, fimset)[1]
 
 
 def _hessian(z, fimset):
-    return mc_gradient_hessian(z, fimset)[1]
+    return mc_gradient_hessian(z, fimset)[2]
 
 
 def whitened_elements_einsum(z, fimset: ElementaryFimSet) -> np.ndarray:
@@ -531,8 +531,8 @@ class TestMcObjective:
         rng = np.random.default_rng(9)
         z = random_feasible_z(rng, 4, 3)
         assert mc_objective(z, four_dof_fimset) == mc_objective(z, four_dof_fimset)
-        grad, hess = mc_gradient_hessian(z, four_dof_fimset)
-        grad_again, hess_again = mc_gradient_hessian(z, four_dof_fimset)
+        _, grad, hess = mc_gradient_hessian(z, four_dof_fimset)
+        _, grad_again, hess_again = mc_gradient_hessian(z, four_dof_fimset)
         assert np.array_equal(grad, grad_again)
         assert np.array_equal(hess, hess_again)
 
@@ -604,7 +604,9 @@ class TestMcHessian:
     def test_bundle_matches_pieces(self, four_dof_fimset):
         rng = np.random.default_rng(14)
         z = random_feasible_z(rng, 4, 2, mix=0.3)
-        grad, hess = mc_gradient_hessian(z, four_dof_fimset)
+        value, grad, hess = mc_gradient_hessian(z, four_dof_fimset)
+        # The value is the objective whose factor the derivatives reuse.
+        assert value == mc_objective(z, four_dof_fimset)
         whitened = whitened_elements_einsum(z, four_dof_fimset)
         n_samples = four_dof_fimset.n_samples
         grad_einsum = -np.mean(np.einsum("kiaa->ki", whitened), axis=0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sensoropt
-from sensoropt import PipelineError, run_pipeline, validate_config, write_report
+from sensoropt import PipelineError, cli, run_pipeline, validate_config, write_report
 
 SMALL = {
     "n_dof": 2,
@@ -207,6 +207,25 @@ class TestCli:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error writing report: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["place", "oracle"])
+    @pytest.mark.parametrize("out", ["file", "file/run", "file/run/deeper"])
+    def test_unusable_out_fails_before_any_stage(self, tmp_path, monkeypatch, capsys, command, out):
+        def never(config):
+            raise AssertionError("a stage ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        monkeypatch.setattr(cli, "run_oracle", never)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(SMALL))
+        (tmp_path / "file").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        code = cli.main([command, "--config", str(config_path), "--out", str(tmp_path / out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error writing report: [Errno 20] Not a directory: '{tmp_path / 'file'}'\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_seed_override_meets_the_schema(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -112,6 +112,11 @@ class TestSamplePrior:
         with pytest.raises(ValueError):
             sample_prior(default_prior(), 0, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [True, 2.0, 2.5, np.float64(2.0)])
+    def test_rejects_non_integer_sample_counts(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be a positive integer"):
+            sample_prior(default_prior(), n_samples, seed=0)
+
     def test_location_recovery(self):
         # the sample mean of omega0 must sit within 3 standard errors of
         # the marginal's implied mean

@@ -84,7 +84,7 @@ class TestSolveRelaxed:
         sol = solve_relaxed(four_dof_fimset, 2)
         assert sol.converged
         assert 0.0 <= sol.duality_gap <= solver.TOLERANCE
-        grad, _ = mc_gradient_hessian(sol.z_star, four_dof_fimset)
+        _, grad, _ = mc_gradient_hessian(sol.z_star, four_dof_fimset)
         assert sol.duality_gap == solver.duality_gap(sol.z_star, grad, 2)
 
     def test_duality_gap_bounds_every_feasible_point(self, four_dof_fimset):
@@ -105,8 +105,7 @@ class TestSolveRelaxed:
     def test_trace_records_progress(self, four_dof_fimset):
         sol = solve_relaxed(four_dof_fimset, 2)
         assert len(sol.trace) == sol.iterations
-        # The start and every accepted point, so the benchmark's derived
-        # backtrack count (objective evaluations - steps - 1) is 0.
+        # The start and every accepted point: no step on this set backtracks.
         assert sol.objective_evaluations == sol.iterations + 1
         barrier_values = [r.barrier_t for r in sol.trace]
         assert barrier_values == sorted(barrier_values)
@@ -114,11 +113,32 @@ class TestSolveRelaxed:
     @pytest.mark.parametrize("fimset, budget", [("two_dof_fimset", 1), ("four_dof_fimset", 2)])
     def test_one_derivative_evaluation_per_point(self, request, fimset, budget):
         # The start and every accepted step: no step on these sets
-        # backtracks, and the derivatives of the accepted trial point serve
-        # the next step.
+        # backtracks, and the evaluation of the accepted trial point serves
+        # the trace and the next step.  Each point is evaluated once, value
+        # and derivatives together.
         sol = solve_relaxed(request.getfixturevalue(fimset), budget)
         assert sol.converged
-        assert sol.gradient_evaluations == sol.iterations + 1
+        assert sol.objective_evaluations == sol.gradient_evaluations == sol.iterations + 1
+
+    def test_a_backtrack_is_one_more_evaluation(self, four_dof_fimset, monkeypatch):
+        # A NaN gradient at the fourth evaluation rejects the third step's
+        # first trial point; the half step is taken, and the solve converges
+        # with one evaluation more than its steps and start.
+        full_step = solve_relaxed(four_dof_fimset, 2).trace[2].step_size
+        calls = []
+        gradient_hessian = solver.CountingEvaluator.gradient_hessian
+
+        def rejected_once(self, z):
+            value, grad, hess = gradient_hessian(self, z)
+            calls.append(z)
+            return value, (np.full_like(grad, np.nan) if len(calls) == 4 else grad), hess
+
+        monkeypatch.setattr(solver.CountingEvaluator, "gradient_hessian", rejected_once)
+        sol = solve_relaxed(four_dof_fimset, 2)
+        assert len(calls) == sol.gradient_evaluations == sol.iterations + 2
+        assert sol.objective_evaluations == sol.gradient_evaluations
+        assert sol.trace[2].step_size == full_step * solver._BACKTRACK
+        assert sol.objective_relaxed == -mc_objective(sol.z_star, four_dof_fimset)
 
     def test_newton_step_ceiling(self, four_dof_fimset):
         # 10 steps to a proved gap of 1e-8; the x100 barrier schedule took
@@ -149,9 +169,9 @@ class TestSolveRelaxed:
         gradient_hessian = solver.CountingEvaluator.gradient_hessian
 
         def failing(self, z):
-            grad, hess = gradient_hessian(self, z)
+            value, grad, hess = gradient_hessian(self, z)
             calls.append(z)
-            return (grad if len(calls) <= 3 else np.full_like(grad, np.nan)), hess
+            return value, (grad if len(calls) <= 3 else np.full_like(grad, np.nan)), hess
 
         monkeypatch.setattr(solver.CountingEvaluator, "gradient_hessian", failing)
         with pytest.raises(ConvergenceError, match="line search failed") as excinfo:

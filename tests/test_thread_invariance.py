@@ -95,7 +95,7 @@ for n_dof, n_samples in ((4, 1000), (50, 100), (50, 130)):
     fimset = ElementaryFimSet(matrices=sets[n_dof].matrices[:n_samples])
     # Interior and non-uniform, so no story's terms share a weight.
     z = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
-    grad, hess = mc_gradient_hessian(z, fimset)
+    _, grad, hess = mc_gradient_hessian(z, fimset)
     digests[f"gradient and Hessian, {n_dof} stories x {n_samples} samples"] = (
         digest(grad) + digest(hess)
     )
@@ -160,7 +160,7 @@ for n_dof in (4, 50, 80):
     # start's multipliers, lam_lo = 1 / z and lam_hi = 1 / (1 - z), aiming
     # at sigma = 0.1.
     z = 0.1 + 0.8 * np.linspace(0.0, 1.0, n_dof) ** 2
-    grad, hess = mc_gradient_hessian(z, sets[n_dof])
+    _, grad, hess = mc_gradient_hessian(z, sets[n_dof])
     hess[np.diag_indices_from(hess)] += 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
     dz, nu = _newton_direction(hess, grad - 0.1 / z + 0.1 / (1.0 - z))
     digests[f"Newton direction, {n_dof} stories"] = digest(dz) + digest(np.float64(nu))
@@ -170,7 +170,7 @@ for n_dof in (4, 50, 80):
 # omega0 prior keeps every mode underdamped.
 stiff_prior = dataclasses.replace(default_prior(), omega0=Marginal("lognormal", 80 * np.pi, 0.1))
 z = np.full(200, 0.4)
-grad, hess = mc_gradient_hessian(z, compute_elementary_set(
+_, grad, hess = mc_gradient_hessian(z, compute_elementary_set(
     build_uniform_shear_model(200), sample_prior(stiff_prior, 20, 2), TimeGrid(100, 0.01)
 ))
 hess[np.diag_indices_from(hess)] += 1.0 / z**2 + 1.0 / (1.0 - z) ** 2
