@@ -2,6 +2,9 @@
 
 Everything here scores configurations by the expected log-determinant
 (larger is better), the negation of the solver's minimization objective.
+Greedy forward selection and the exhaustive search each return their
+configuration as a ``solver.Selection``, with its value and the number of
+evaluations it cost.
 """
 
 from __future__ import annotations
@@ -19,24 +22,9 @@ from .fim import (
     check_sensor_vector,
     mc_objective,
 )
-from .solver import ENUMERATION_CAP, best_combination, story_numbers
+from .solver import ENUMERATION_CAP, Selection, best_combination, story_numbers
 
 LN2 = math.log(2.0)
-
-
-@dataclass
-class GreedyResult:
-    delta: np.ndarray
-    objective_value: float
-    n_evaluations: int
-    picks: tuple[int, ...]  # story indices in placement order, 1-based
-
-
-@dataclass
-class ExhaustiveResult:
-    delta: np.ndarray
-    objective_value: float
-    n_evaluations: int
 
 
 @dataclass
@@ -48,7 +36,7 @@ class ComparisonRow:
     n_evaluations: int
 
 
-def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
+def greedy_forward(fimset: ElementaryFimSet, budget: int) -> Selection:
     """Forward sequential placement: grow the configuration one sensor at a time.
 
     Each round scores every vacant story by the information gain of adding
@@ -73,7 +61,6 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
     evaluator = CountingEvaluator(fimset)
     delta = np.zeros(n, dtype=int)
     base_value = evaluator.empty_value
-    picks: list[int] = []
     for _round in range(budget):
         best_gain, best_story, best = -math.inf, -1, None
         for k, i in enumerate(np.flatnonzero(delta == 0)):
@@ -85,19 +72,17 @@ def greedy_forward(fimset: ElementaryFimSet, budget: int) -> GreedyResult:
             if score[0] - base_value > best_gain:
                 best_gain, best_story, best = score[0] - base_value, int(i), score
         delta[best_story] = 1
-        picks.append(best_story + 1)
         base_value = best[0]
 
     value, exact = best
-    return GreedyResult(
+    return Selection(
         delta=delta,
         objective_value=value if exact else -mc_objective(delta.astype(float), fimset),
         n_evaluations=evaluator.n_objective,
-        picks=tuple(picks),
     )
 
 
-def exhaustive(fimset: ElementaryFimSet, budget: int) -> ExhaustiveResult:
+def exhaustive(fimset: ElementaryFimSet, budget: int) -> Selection:
     """Exact combinatorial optimum by enumerating every configuration.
 
     The repair's search with no story fixed and every story in the pool.
@@ -112,8 +97,7 @@ def exhaustive(fimset: ElementaryFimSet, budget: int) -> ExhaustiveResult:
         raise ValueError(
             f"exhaustive search over {count} configurations exceeds the cap of {ENUMERATION_CAP}"
         )
-    delta, value, evals = best_combination(fimset, [], range(n), budget)
-    return ExhaustiveResult(delta=delta, objective_value=value, n_evaluations=evals)
+    return best_combination(fimset, [], range(n), budget)
 
 
 def fixed_configs(n_dof: int, budget: int) -> dict[str, np.ndarray]:

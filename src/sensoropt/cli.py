@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .config import BASELINE_LABELS, ConfigError, load_config
 from .pipeline import PipelineError, run_oracle, run_pipeline, write_report
-from .solver import ENUMERATION_CAP, story_numbers
+from .solver import ENUMERATION_CAP
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -96,7 +96,7 @@ def _run_oracle(args) -> int:
     payload = {
         "config": config.to_dict(),
         "delta": result.delta.tolist(),
-        "stories": list(story_numbers(result.delta)),
+        "stories": list(result.stories),
         "objective_value": result.objective_value,
         "n_evaluations": result.n_evaluations,
     }

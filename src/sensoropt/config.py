@@ -49,12 +49,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Resolved configuration echo; re-validating it reproduces the run."""
-        return dataclasses.asdict(
-            self,
-            dict_factory=lambda items: {
-                key: list(value) if isinstance(value, tuple) else value for key, value in items
-            },
-        )
+        return dataclasses.asdict(self)
 
 
 # A value that failed its check; the violation is already recorded.

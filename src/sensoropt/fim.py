@@ -195,24 +195,29 @@ class ElementaryFimSet:
     temporaries (``assemble``), and every objective call, Newton step and
     full-support check on the set reuses it: calls on one set are not
     thread-safe.  Sets compare by identity.  A set needs at least one
-    sample.
+    sample, and any other shape than (n_samples, n_dof, 5, 5) is refused.
     """
 
     def __init__(self, matrices: np.ndarray):
-        n_samples, n_dof, n_params, _ = matrices.shape
+        if matrices.ndim != 4 or matrices.shape[2:] != (N_PARAMS, N_PARAMS):
+            raise ValueError(
+                f"expected elementary matrices of shape (n_samples, n_dof, {N_PARAMS}, "
+                f"{N_PARAMS}), got {matrices.shape}"
+            )
+        n_samples, n_dof = matrices.shape[:2]
         if n_samples < 1:
             raise ValueError("an elementary set needs at least one sample")
         stack = matrices.transpose(1, 2, 3, 0)
         if matrices.flags.writeable or not stack.flags.c_contiguous:
             stack = stack.copy()
             stack.setflags(write=False)
-        self.n_samples, self.n_dof, self.n_params = n_samples, n_dof, n_params
+        self.n_samples, self.n_dof = n_samples, n_dof
         self.entries = stack.reshape(n_dof, -1)
         self.matrices = stack.transpose(3, 0, 1, 2)
-        self._work = _StackFactor(np.empty((n_params, n_params, n_samples)))
+        self._work = _StackFactor(np.empty((N_PARAMS, N_PARAMS, n_samples)))
         # The Newton step's inverse factors, transposed: only the entries
         # on and above the diagonal are ever written, so the rest stay zero.
-        self._inverse_t = np.zeros((n_samples, n_params, n_params))
+        self._inverse_t = np.zeros((n_samples, N_PARAMS, N_PARAMS))
 
     def __reduce__(self):
         # Copies and pickles are built afresh from the matrices: a copied
@@ -557,7 +562,7 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[float, np.ndarray,
     docstring; ``whitened_elements_einsum`` in ``tests/test_fim.py`` is the
     non-BLAS fallback for the whitening.
     """
-    n_samples, n_dof, n_params = fimset.n_samples, fimset.n_dof, fimset.n_params
+    n_samples, n_dof = fimset.n_samples, fimset.n_dof
     value = mc_objective(z, fimset)
     chol = fimset._work.stack
     # Contiguous right-hand operands: numpy's batched matmul over transposed
@@ -567,9 +572,9 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[float, np.ndarray,
     chol_inv_t = fimset._inverse_t
     chol_inv = chol_inv_t.transpose(2, 1, 0)
     # X_jj = 1 / L_jj and X_ij = -(sum_{j <= l < i} L_il X_lj) / L_ii.
-    for j in range(n_params):
+    for j in range(N_PARAMS):
         np.divide(1.0, chol[j, j], out=chol_inv[j, j])
-        for i in range(j + 1, n_params):
+        for i in range(j + 1, N_PARAMS):
             acc = chol[i, j] * chol_inv[j, j]
             for l in range(j + 1, i):
                 acc += chol[i, l] * chol_inv[l, j]
@@ -581,13 +586,13 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[float, np.ndarray,
         block = slice(start, start + SAMPLE_BLOCK)
         elems = fimset.matrices[block]  # a strided view: the reshape below copies it
         b = elems.shape[0]
-        half = elems.reshape(b, n_dof * n_params, n_params) @ chol_inv_t[block]
-        half = half.reshape(b, n_dof, n_params, n_params).transpose(0, 1, 3, 2).copy()
-        whitened = (half.reshape(b, n_dof * n_params, n_params) @ chol_inv_t[block]).reshape(
-            b, n_dof, n_params, n_params
+        half = elems.reshape(b, n_dof * N_PARAMS, N_PARAMS) @ chol_inv_t[block]
+        half = half.reshape(b, n_dof, N_PARAMS, N_PARAMS).transpose(0, 1, 3, 2).copy()
+        whitened = (half.reshape(b, n_dof * N_PARAMS, N_PARAMS) @ chol_inv_t[block]).reshape(
+            b, n_dof, N_PARAMS, N_PARAMS
         )
         packed = whitened[:, :, _PACK_ROWS, _PACK_COLS] * _PACK_WEIGHTS
-        trace_sum += np.sum(packed[:, :, :n_params], axis=(0, 2))
+        trace_sum += np.sum(packed[:, :, :N_PARAMS], axis=(0, 2))
         hess_sum += np.sum(packed @ packed.transpose(0, 2, 1).copy(), axis=0)
     return value, -trace_sum / n_samples, hess_sum / n_samples
 

@@ -19,20 +19,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .baselines import (
-    ComparisonRow,
-    ExhaustiveResult,
-    compare,
-    exhaustive,
-    fixed_configs,
-    greedy_forward,
-)
+from .baselines import ComparisonRow, compare, exhaustive, fixed_configs, greedy_forward
 from .building import TimeGrid, build_uniform_shear_model
 from .config import RunConfig
 from .fim import ElementaryFimSet, compute_elementary_set
 from .priors import sample_prior
 from .solver import (
-    BinaryPlacement, RelaxedSolution, certify_or_repair, preflight_check, solve_relaxed,
+    BinaryPlacement, RelaxedSolution, Selection, certify_or_repair, preflight_check,
+    solve_relaxed,
 )
 
 REPORT_JSON = "report.json"
@@ -103,7 +97,7 @@ class PlacementReport:
                 "certified_optimal": placed.certified_optimal,
                 "gap": self.gap,
                 "proved_gap": self.proved_gap,
-                "ambiguous_stories": [i + 1 for i in placed.ambiguous_indices],
+                "ambiguous_stories": list(placed.ambiguous_stories),
                 "objective_evaluations": placed.objective_evaluations,
             },
             "comparison": None,
@@ -146,7 +140,7 @@ def _elementary_stages(config: RunConfig, timings: dict) -> ElementaryFimSet:
         return compute_elementary_set(model, samples, grid)
 
 
-def run_oracle(config: RunConfig) -> ExhaustiveResult:
+def run_oracle(config: RunConfig) -> Selection:
     """Exhaustive combinatorial optimum; ``exhaustive`` refuses above its cap.
 
     Shares the first three stages with ``run_pipeline`` and runs the
@@ -184,11 +178,8 @@ def run_pipeline(config: RunConfig) -> PlacementReport:
                 rows.append(("exhaustive", exact.delta, exact.n_evaluations))
             except ValueError as exc:
                 skipped["exhaustive"] = str(exc)
-        fixed_wanted = [b for b in config.baselines if b in ("low", "high", "common")]
-        if fixed_wanted:
-            fixed = fixed_configs(config.n_dof, config.budget)
-            for label in fixed_wanted:
-                rows.append((label, fixed[label], 1))
+        fixed = fixed_configs(config.n_dof, config.budget)
+        rows += [(label, fixed[label], 1) for label in config.baselines if label in fixed]
         if len(rows) > 1:
             comparison = compare(rows, elems)
 
@@ -222,8 +213,8 @@ def _report_text(report: PlacementReport) -> str:
         f"   gap: {report.gap:.3e}   certified: {'yes' if placed.certified_optimal else 'no'}"
     )
     lines.append(f"proved gap to the best binary placement: {report.proved_gap:.3e}")
-    if placed.ambiguous_indices:
-        amb = ", ".join(str(i + 1) for i in placed.ambiguous_indices)
+    if placed.ambiguous_stories:
+        amb = ", ".join(map(str, placed.ambiguous_stories))
         lines.append(f"ambiguous stories repaired: {amb}")
     lines.append(
         f"solver: {sol.iterations} Newton steps, "

@@ -50,8 +50,8 @@ class Marginal:
         if self.dist not in _DISTRIBUTIONS:
             raise ValueError(f"dist must be one of {_DISTRIBUTIONS}, got {self.dist!r}")
         # Written so that NaN fails every check.
-        if not self.std > 0:
-            raise ValueError(f"std must be positive, got {self.std}")
+        if not 0 < self.std < math.inf:
+            raise ValueError(f"std must be positive and finite, got {self.std}")
         if not math.isfinite(self.mean):
             raise ValueError(f"mean must be finite, got {self.mean}")
         if self.dist == "lognormal" and not self.mean > 0:
@@ -106,10 +106,10 @@ def lognormal_underlying(mean: float, std: float) -> tuple[float, float]:
     ``sigma_ln^2 = ln(1 + std^2/mean^2)`` and
     ``mu_ln = ln(mean) - sigma_ln^2 / 2``.
     """
-    if not mean > 0:
-        raise ValueError(f"mean must be positive, got {mean}")
-    if not std > 0:
-        raise ValueError(f"std must be positive, got {std}")
+    if not 0 < mean < math.inf:
+        raise ValueError(f"mean must be positive and finite, got {mean}")
+    if not 0 < std < math.inf:
+        raise ValueError(f"std must be positive and finite, got {std}")
     var_ln = math.log1p((std / mean) ** 2)
     return math.log(mean) - var_ln / 2.0, math.sqrt(var_ln)
 

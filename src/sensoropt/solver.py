@@ -137,8 +137,22 @@ class BinaryPlacement:
     delta: np.ndarray  # 0/1 ints, shape (n_dof,)
     objective_binary: float
     certified_optimal: bool
-    ambiguous_indices: tuple[int, ...] = ()
+    ambiguous_stories: tuple[int, ...] = ()  # 1-based
     objective_evaluations: int = 0
+
+    @property
+    def stories(self) -> tuple[int, ...]:
+        """Instrumented stories, 1-based."""
+        return story_numbers(self.delta)
+
+
+@dataclass
+class Selection:
+    """A scored binary configuration: the best one a search found."""
+
+    delta: np.ndarray  # 0/1 ints, shape (n_dof,)
+    objective_value: float  # expected log-determinant, larger is better
+    n_evaluations: int
 
     @property
     def stories(self) -> tuple[int, ...]:
@@ -343,16 +357,14 @@ def duality_gap(z: np.ndarray, grad: np.ndarray, budget: int) -> float:
     return float(grad @ z - np.sort(grad)[:budget].sum())
 
 
-def best_combination(
-    fimset: ElementaryFimSet, fixed_on, pool, k: int
-) -> tuple[np.ndarray, float, int]:
+def best_combination(fimset: ElementaryFimSet, fixed_on, pool, k: int) -> Selection:
     """Best way of adding ``k`` stories from ``pool`` to the stories ``fixed_on``.
 
     Scores every combination of ``pool`` in lexicographic order and keeps
     the first strict maximum, so ties go to the lexicographically smallest
-    configuration when ``pool`` is sorted.  Returns ``(delta, value,
-    n_evaluations)``; ``value`` is the expected log-determinant of
-    ``delta``.  Callers check the combination count against
+    configuration when ``pool`` is sorted.  Returns that configuration as a
+    ``Selection``, with its expected log-determinant and the number of
+    combinations scored.  Callers check the combination count against
     ``ENUMERATION_CAP`` first.
     """
     base = np.zeros(fimset.n_dof, dtype=int)
@@ -368,7 +380,7 @@ def best_combination(
         if value > best_value:
             best_value = value
             best_delta = delta
-    return best_delta, best_value, evals
+    return Selection(best_delta, best_value, evals)
 
 
 def certify_or_repair(
@@ -387,33 +399,32 @@ def certify_or_repair(
     proof over all C(n, k) configurations: a story held at 0 or 1 is never
     reconsidered.  When the search would exceed ``ENUMERATION_CAP``
     configurations, the ``budget`` largest entries are placed instead (ties
-    to the lower story) and the result is not certified.
+    to the lower story) and the result is not certified.  Either way the
+    placement carries the ``best_combination`` search's configuration,
+    objective and evaluation count, and the ambiguous stories, 1-based.
     """
     check_budget(budget, fimset.n_dof)
     z = check_sensor_vector(z_star, fimset.n_dof, budget=budget)
 
     eta = AMBIGUITY_THRESHOLD
-    ambiguous = np.flatnonzero((z > eta) & (z < 1.0 - eta))
+    ambiguous = (z > eta) & (z < 1.0 - eta)
     fixed_on = np.flatnonzero(z >= 1.0 - eta)
     remaining = budget - fixed_on.size
+    pool = np.flatnonzero(ambiguous).tolist()
 
     certified = (
-        0 <= remaining <= ambiguous.size
-        and math.comb(ambiguous.size, remaining) <= ENUMERATION_CAP
+        0 <= remaining <= len(pool) and math.comb(len(pool), remaining) <= ENUMERATION_CAP
     )
     if certified:
-        delta, value, evals = best_combination(
-            fimset, fixed_on, ambiguous.tolist(), remaining
-        )
+        found = best_combination(fimset, fixed_on, pool, remaining)
     else:
         # The top-k rounding, scored as a search with nothing left to place.
         # Stable sort on -z: ties resolve to the lower story index.
-        top_k = np.argsort(-z, kind="stable")[:budget]
-        delta, value, evals = best_combination(fimset, top_k, [], 0)
+        found = best_combination(fimset, np.argsort(-z, kind="stable")[:budget], [], 0)
     return BinaryPlacement(
-        delta=delta,
-        objective_binary=value,
+        delta=found.delta,
+        objective_binary=found.objective_value,
         certified_optimal=certified,
-        ambiguous_indices=tuple(int(i) for i in ambiguous),
-        objective_evaluations=evals,
+        ambiguous_stories=story_numbers(ambiguous),
+        objective_evaluations=found.n_evaluations,
     )

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import re
@@ -74,6 +75,30 @@ def test_readme_proved_gap_matches_the_committed_run():
         (ROOT / "runs" / "fifty-story" / "report.json").read_text(encoding="utf-8")
     )
     assert float(match.group(1)) == float(f"{report['placement']['proved_gap']:.2g}")
+
+
+MODULES = ("baselines", "building", "cli", "config", "fim", "pipeline", "priors", "solver")
+
+
+def test_backticked_module_names_exist():
+    # Every `module.name` or `module.name.attr` that README.md, src/ or
+    # tests/ quotes names something that exists, so a renamed or removed
+    # name cannot linger in the documentation.
+    pattern = re.compile(r"`(?:sensoropt\.)?(" + "|".join(MODULES) + r")((?:\.\w+){1,2})`")
+    paths = [ROOT / "README.md"] + sorted(
+        p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
+    )
+    missing, found = [], 0
+    for path in paths:
+        for match in pattern.finditer(path.read_text(encoding="utf-8")):
+            found += 1
+            target = importlib.import_module(f"sensoropt.{match.group(1)}")
+            try:
+                for attr in match.group(2)[1:].split("."):
+                    target = getattr(target, attr)
+            except AttributeError:
+                missing.append(f"{path.relative_to(ROOT)}: {match.group(0)}")
+    assert found and not missing, missing
 
 
 @pytest.mark.parametrize(

@@ -454,6 +454,18 @@ def test_elementary_set_needs_a_sample():
         ElementaryFimSet(np.empty((0, 4, 5, 5)))
 
 
+@pytest.mark.parametrize("n_params", [4, 6])
+def test_elementary_set_is_five_by_five(n_params):
+    # The derivative packing assumes 5 parameters: a 6 x 6 set would give
+    # a wrong gradient without an error.
+    rng = np.random.default_rng(0)
+    roots = rng.standard_normal((2, 3, n_params, n_params))
+    with pytest.raises(ValueError, match=r"shape \(n_samples, n_dof, 5, 5\)"):
+        ElementaryFimSet(roots @ roots.transpose(0, 1, 3, 2))
+    with pytest.raises(ValueError, match=r"shape \(n_samples, n_dof, 5, 5\)"):
+        ElementaryFimSet(np.zeros((3, 5, 5)))
+
+
 class TestAssembleQ:
     def test_zero_weights(self):
         fimset = _fimset_from([[np.eye(5), 2 * np.eye(5)]])

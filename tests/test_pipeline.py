@@ -9,7 +9,10 @@ import pytest
 
 import sensoropt
 from sensoropt import PipelineError, cli, run_pipeline, validate_config, write_report
+from sensoropt.pipeline import run_oracle
+from sensoropt.solver import Selection, story_numbers
 
+ROOT = Path(__file__).resolve().parents[1]
 SMALL = {
     "n_dof": 2,
     "budget": 1,
@@ -29,6 +32,9 @@ def small_report():
 class TestRunPipeline:
     def test_roof_sensor_selected(self, small_report):
         assert small_report.placement.stories == (2,)
+        oracle = run_oracle(validate_config(dict(SMALL)))
+        assert isinstance(oracle, Selection)
+        assert oracle.stories == story_numbers(oracle.delta) == (2,)
 
     def test_full_budget_trivial_solve(self):
         config = validate_config(dict(SMALL, budget=2, baselines=[]))
@@ -77,6 +83,17 @@ class TestWriteReport:
         )
         assert payload["comparison"]["reference"] == small_report.comparison[0].label == "optimal"
         assert payload["version"] == sensoropt.__version__
+
+    def test_ambiguous_stories_line_matches_the_json(self, tmp_path):
+        # The small-building benchmark workload: its seed-1 repair
+        # enumerates 2 ambiguous stories.
+        raw = json.loads((ROOT / "bench" / "workloads" / "small-building.json").read_text())
+        out = write_report(run_pipeline(validate_config(raw)), tmp_path / "run")
+        ambiguous = json.loads((out / "report.json").read_text())["placement"]["ambiguous_stories"]
+        prefix = "ambiguous stories repaired: "
+        (line,) = [x for x in (out / "report.txt").read_text().splitlines() if x.startswith(prefix)]
+        assert len(ambiguous) == 2
+        assert line == prefix + ", ".join(map(str, ambiguous))
 
     def test_csv_layout(self, small_report, tmp_path):
         out = write_report(small_report, tmp_path / "run")

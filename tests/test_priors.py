@@ -56,6 +56,13 @@ class TestMarginal:
         with pytest.raises(ValueError):
             Marginal(dist, mean, std)
 
+    @pytest.mark.parametrize("dist, mean", [("normal", 0.0), ("lognormal", 6.28)])
+    def test_infinite_spread_rejected(self, dist, mean):
+        # Its draws are inf and 0, which would fail only later, as a bad
+        # parameter row of the elementary-matrices stage.
+        with pytest.raises(ValueError, match="std must be positive and finite, got inf"):
+            Marginal(dist, mean, math.inf)
+
     def test_lognormal_needs_positive_location(self):
         with pytest.raises(ValueError):
             Marginal("lognormal", -1.0, 0.5)
@@ -72,6 +79,13 @@ class TestLognormalUnderlying:
         mu, sigma = lognormal_underlying(1.0, 1e-12)
         assert mu == pytest.approx(0.0, abs=1e-20)
         assert sigma == pytest.approx(0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("mean, std, named", [
+        (math.inf, 1.0, "mean"), (math.nan, 1.0, "mean"), (1.0, math.inf, "std"),
+    ])
+    def test_non_finite_moments_rejected(self, mean, std, named):
+        with pytest.raises(ValueError, match=f"{named} must be positive and finite"):
+            lognormal_underlying(mean, std)
 
     def test_closed_form_values(self):
         # evaluated independently at 30 digits

@@ -268,7 +268,7 @@ class TestCertifyOrRepair:
         z = np.array([0.999999, 0.0000005, 0.0000005, 1.0])
         placed = certify_or_repair(z, four_dof_fimset, 2)
         np.testing.assert_array_equal(placed.delta, [1, 0, 0, 1])
-        assert placed.ambiguous_indices == ()
+        assert placed.ambiguous_stories == ()
         assert placed.objective_evaluations == 1
         assert placed.certified_optimal
 
@@ -294,7 +294,7 @@ class TestCertifyOrRepair:
         placed = certify_or_repair(np.array([1.0, 0.5, 0.5]), fimset, 2)
         np.testing.assert_array_equal(exact.delta, [1, 1, 0])
         np.testing.assert_array_equal(placed.delta, [1, 1, 0])
-        assert placed.ambiguous_indices == (1, 2)
+        assert placed.ambiguous_stories == (2, 3)
         assert placed.certified_optimal
 
     def test_enumeration_cap_returns_uncertified_rounding(self, monkeypatch, four_dof_fimset):
@@ -305,7 +305,7 @@ class TestCertifyOrRepair:
         placed = certify_or_repair(z, four_dof_fimset, 2)
         assert not placed.certified_optimal
         np.testing.assert_array_equal(placed.delta, [1, 1, 0, 0])
-        assert placed.ambiguous_indices == (0, 1, 2, 3)
+        assert placed.ambiguous_stories == (1, 2, 3, 4)
         assert placed.objective_evaluations == 1
 
     def test_non_finite_relaxed_optimum_rejected(self, four_dof_fimset):
@@ -329,7 +329,7 @@ class TestCertifyOrRepair:
     def test_ambiguous_set_reported(self, four_dof_fimset):
         z = np.array([0.6, 0.55, 0.45, 0.4])
         placed = certify_or_repair(z, four_dof_fimset, 2)
-        assert placed.ambiguous_indices == (0, 1, 2, 3)
+        assert placed.ambiguous_stories == (1, 2, 3, 4)
         assert placed.objective_evaluations == 6  # C(4, 2)
 
 
