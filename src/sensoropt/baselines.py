@@ -125,7 +125,9 @@ def compare(
 
     ``rows`` holds ``(label, delta, n_evaluations)`` triples, each checked
     and scored once, in order, into one ``ComparisonRow``; labels need not
-    be distinct.  The first row is the reference: ``bits_gain`` of a row is
+    be distinct.  A row is scored and numbered as the 0/1 vector its check
+    rounds it to, and a row the check rejects raises ``ValueError`` naming
+    its label.  The first row is the reference: ``bits_gain`` of a row is
     ``(V_ref - V) / ln 2`` where ``V_ref`` is the first row's value: the
     number of bits of information the reference placement gains over that
     configuration.
@@ -134,7 +136,10 @@ def compare(
         raise ValueError("no configurations to compare")
     compared: list[ComparisonRow] = []
     for label, delta, n_evaluations in rows:
-        delta = check_sensor_vector(delta, fimset.n_dof, binary=True)
+        try:
+            delta = check_sensor_vector(delta, fimset.n_dof, binary=True)
+        except ValueError as exc:
+            raise ValueError(f"configuration {label!r}: {exc}") from exc
         try:
             value = -mc_objective(delta, fimset)
         except SingularInformationError as exc:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from pathlib import Path
 
 from .config import BASELINE_LABELS, ConfigError, load_config
-from .pipeline import PipelineError, run_oracle, run_pipeline, write_report
+from .pipeline import PipelineError, run_oracle, run_pipeline, write_oracle, write_report
 from .solver import ENUMERATION_CAP
 
 
@@ -91,23 +90,12 @@ def _run_oracle(args) -> int:
     config = _load(args)
     out = _resolve_out(args, config)
     result = run_oracle(config)
-
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "config": config.to_dict(),
-        "delta": result.delta.tolist(),
-        "stories": list(result.stories),
-        "objective_value": result.objective_value,
-        "n_evaluations": result.n_evaluations,
-    }
-    (out / "oracle.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path = write_oracle(result, config, out)
     if not args.quiet:
-        print(f"exhaustive optimum   : {', '.join(map(str, payload['stories']))}")
+        print(f"exhaustive optimum   : {', '.join(map(str, result.stories))}")
         print(f"objective value      : {result.objective_value:.6f}")
         print(f"configurations tried : {result.n_evaluations}")
-        print(f"oracle written to    : {out / 'oracle.json'}")
+        print(f"oracle written to    : {path}")
     return 0
 
 

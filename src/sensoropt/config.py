@@ -47,10 +47,6 @@ class RunConfig:
     baselines: tuple[str, ...] = ("greedy", "low", "high", "common")
     output_dir: str | None = None
 
-    def to_dict(self) -> dict:
-        """Resolved configuration echo; re-validating it reproduces the run."""
-        return dataclasses.asdict(self)
-
 
 # A value that failed its check; the violation is already recorded.
 _BAD = object()

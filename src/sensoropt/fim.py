@@ -472,7 +472,11 @@ def _as_placement(z, n_dof: int) -> np.ndarray:
 
 def check_sensor_vector(z, n_dof: int, budget: int | None = None,
                         binary: bool = False) -> np.ndarray:
-    """Validate a placement vector against box, budget and binary constraints."""
+    """Validate a placement vector against box, budget and binary constraints.
+
+    A vector checked as binary is returned rounded, so its entries are
+    exactly the 0s and 1s the check accepted.
+    """
     z = _as_placement(z, n_dof)
     # NaN would pass every comparison below.
     if not np.all(np.isfinite(z)):
@@ -483,7 +487,7 @@ def check_sensor_vector(z, n_dof: int, budget: int | None = None,
         raise ValueError(f"placement must sum to {budget}, got {z.sum():.12g}")
     if binary and np.any(np.minimum(np.abs(z), np.abs(1 - z)) > 1e-9):
         raise ValueError("placement vector is not binary")
-    return z
+    return np.rint(z) if binary else z
 
 
 def mc_objective(z, fimset: ElementaryFimSet) -> float:

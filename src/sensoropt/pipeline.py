@@ -1,13 +1,14 @@
 """End-to-end placement pipeline and report artifacts.
 
-Stages run in a fixed order: model construction, prior sampling,
-elementary-matrix precomputation, preflight, relaxed solve,
-certification/repair, baselines, report assembly.  The exhaustive oracle
-shares the first three stages and then runs its own ``exhaustive`` stage.
+Stages run in a fixed order, under the names a ``PipelineError`` prints:
+``model``, ``prior-sampling``, ``elementary-matrices``, ``preflight``,
+``solve``, ``certify`` and ``baselines``.  The exhaustive oracle shares
+the first three stages and then runs its own ``exhaustive`` stage.
 Every failure carries the stage it occurred in, and no report files are
 written for a failed run.  All randomness derives from the configuration
 seed, so a report is byte-identical across reruns; wall-clock timings go
-to a separate sidecar file for that reason.
+to a separate sidecar file for that reason.  ``_write_json`` writes
+every JSON artifact.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .baselines import ComparisonRow, compare, exhaustive, fixed_configs, greedy_forward
@@ -33,6 +36,7 @@ REPORT_JSON = "report.json"
 REPORT_TEXT = "report.txt"
 PLACEMENT_CSV = "placement.csv"
 TIMINGS_JSON = "timings.json"
+ORACLE_JSON = "oracle.json"
 
 
 class PipelineError(RuntimeError):
@@ -74,41 +78,28 @@ class PlacementReport:
         return sol.objective_relaxed + sol.duality_gap - self.placement.objective_binary
 
     def to_dict(self) -> dict:
-        """Deterministic report payload (timings deliberately excluded)."""
-        sol = self.relaxed
-        placed = self.placement
+        """Deterministic report payload (timings deliberately excluded); each
+        section is the record that holds it, plus the figures derived from it."""
         payload = {
             "version": __version__,
-            "config": self.config.to_dict(),
-            "relaxed": {
-                "z_star": sol.z_star.tolist(),
-                "objective_relaxed": sol.objective_relaxed,
-                "iterations": sol.iterations,
-                "objective_evaluations": sol.objective_evaluations,
-                "gradient_evaluations": sol.gradient_evaluations,
-                "converged": sol.converged,
-                "duality_gap": sol.duality_gap,
-                "trace": [dataclasses.asdict(r) for r in sol.trace],
-            },
-            "placement": {
-                "delta": placed.delta.tolist(),
-                "stories": list(placed.stories),
-                "objective_binary": placed.objective_binary,
-                "certified_optimal": placed.certified_optimal,
-                "gap": self.gap,
-                "proved_gap": self.proved_gap,
-                "ambiguous_stories": list(placed.ambiguous_stories),
-                "objective_evaluations": placed.objective_evaluations,
-            },
+            "config": _record(self.config),
+            "relaxed": _record(self.relaxed),
+            "placement": _record(self.placement, stories=self.placement.stories,
+                                 gap=self.gap, proved_gap=self.proved_gap),
             "comparison": None,
-            "skipped_baselines": dict(sorted(self.skipped_baselines.items())),
+            "skipped_baselines": self.skipped_baselines,
         }
         if self.comparison is not None:
             payload["comparison"] = {
                 "reference": self.comparison[0].label,
-                "rows": [dataclasses.asdict(r) for r in self.comparison],
+                "rows": [_record(r) for r in self.comparison],
             }
         return payload
+
+
+def _record(obj, **derived) -> dict:
+    """A record's fields, as ``dataclasses.asdict`` gives them, plus ``derived``."""
+    return {**dataclasses.asdict(obj), **derived}
 
 
 class _Stage:
@@ -241,6 +232,12 @@ def _report_text(report: PlacementReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_json(path: Path, payload) -> None:
+    """``payload`` as sorted, indented JSON; arrays become lists, nothing else does."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def write_report(report: PlacementReport, out_dir) -> Path:
     """Write report.json, report.txt, placement.csv and timings.json.
 
@@ -249,8 +246,7 @@ def write_report(report: PlacementReport, out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    (out / REPORT_JSON).write_text(payload, encoding="utf-8")
+    _write_json(out / REPORT_JSON, report.to_dict())
     (out / REPORT_TEXT).write_text(_report_text(report), encoding="utf-8")
 
     rows = ["story,z,delta"]
@@ -258,9 +254,14 @@ def write_report(report: PlacementReport, out_dir) -> Path:
         rows.append(f"{i},{float(z_i)!r},{d_i}")
     (out / PLACEMENT_CSV).write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    timings = dict(report.timings)
-    timings["written_at_unix"] = time.time()
-    (out / TIMINGS_JSON).write_text(
-        json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / TIMINGS_JSON, {**report.timings, "written_at_unix": time.time()})
     return out
+
+
+def write_oracle(result: Selection, config: RunConfig, out_dir) -> Path:
+    """Write oracle.json, the exhaustive optimum and its configuration; return its path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / ORACLE_JSON
+    _write_json(path, _record(result, stories=result.stories, config=_record(config)))
+    return path

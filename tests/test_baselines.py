@@ -189,6 +189,23 @@ class TestCompare:
                 [("optimal", np.array([0, 1, 0, 1]), 1), ("broken", delta, 1)], four_dof_fimset
             )
 
+    def test_near_binary_row_is_scored_and_numbered_as_rounded(self, four_dof_fimset):
+        # The check accepts entries within 1e-9 of 0 or 1; the row it
+        # accepts is the rounded one.
+        near, exact = compare(
+            [("near", np.array([1e-10, 1.0, 1.0, -1e-10]), 1), ("exact", np.array([0, 1, 1, 0]), 1)],
+            four_dof_fimset,
+        )
+        assert near.stories == exact.stories == (2, 3)
+        assert near.objective_value == exact.objective_value
+
+    def test_rejected_row_names_its_label(self, four_dof_fimset):
+        with pytest.raises(ValueError, match="configuration 'half': placement vector is not binary"):
+            compare(
+                [("optimal", np.array([0, 1, 0, 1]), 1), ("half", np.array([0.5, 0.5, 0, 1]), 1)],
+                four_dof_fimset,
+            )
+
     def test_evaluation_counts_merged(self, four_dof_fimset):
         optimal, greedy = compare(
             [("optimal", np.array([0, 1, 0, 1]), 1), ("greedy", np.array([1, 0, 0, 1]), 12)],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -125,11 +126,9 @@ def test_canonical_fifty_story_file_parses():
 
 def test_echo_revalidates_to_same_config(tmp_path):
     config = validate_config(dict(GOOD))
-    echo = config.to_dict()
     path = tmp_path / "echo.json"
-    path.write_text(json.dumps(echo))
-    again = load_config(path)
-    assert again.to_dict() == echo
+    path.write_text(json.dumps(dataclasses.asdict(config)))
+    assert load_config(path) == config
 
 
 def test_invalid_json_reported():

@@ -170,8 +170,10 @@ class TestCli:
         proc = _run_cli(["oracle", "--config", str(config_path), "--out", str(out)])
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "oracle.json").read_text())
+        assert payload.keys() == {"config", "delta", "stories", "objective_value", "n_evaluations"}
         assert payload["stories"] == [2]
         assert payload["n_evaluations"] == 2
+        assert validate_config(payload["config"]) == validate_config(dict(SMALL))
 
     def test_oracle_cap_exceeded_fails_with_count(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,7 @@ class TestDefaultPrior:
     def test_roundtrip_through_dict(self):
         # the prior's dict form is the ``prior`` section of a config echo
         prior = default_prior()
-        echo = validate_config(dict(CONFIG)).to_dict()["prior"]
+        echo = dataclasses.asdict(validate_config(dict(CONFIG)))["prior"]
         assert validate_config(dict(CONFIG, prior=echo)).prior == prior
 
     def test_from_dict_rejects_unknown_parameter(self):
