@@ -319,7 +319,7 @@ class SensitivityBuffers(NamedTuple):
     """
 
     damped: np.ndarray  # complex (group + 1, table length), one group's _damped_bases
-    bases: np.ndarray  # (group, 8, n_times), one group's bases
+    bases: np.ndarray  # (8, group, n_times), one group's bases, basis-major
     modal: np.ndarray  # (n_dof, 5, n_times), as from _modal_sensitivities
     story: np.ndarray  # (n_dof, 5, n_times), story-major sensitivities
 
@@ -363,7 +363,7 @@ def sensitivity_buffers(n_dof: int, times) -> SensitivityBuffers:
     story = np.empty(max(size, bases + rows))
     return SensitivityBuffers(
         damped=story[bases : bases + rows].view(complex).reshape(group + 1, table),
-        bases=story[:bases].reshape(group, 8, n_times),
+        bases=story[:bases].reshape(8, group, n_times),
         modal=np.empty((n_dof, N_PARAMS, n_times)),
         story=story[:size].reshape(n_dof, N_PARAMS, n_times),
     )
@@ -407,26 +407,24 @@ def _grouped_bases(rate: np.ndarray, times, buffers: SensitivityBuffers):
     the damped pair from each mode's row, and the forcing pair from the
     forcing row, broadcast over the modes, so no sine or cosine is taken
     over the record.  Bases 4 to 7 are then ``t`` times bases 0 to 3, in
-    one multiply.  ``modes`` is the group's slice of the modes, and its
-    bases, in ``buffers.bases``, are valid until the next group's are
-    yielded.
+    one multiply: ``buffers.bases`` is basis-major, so its output, bases 4
+    to 7, does not overlap its input.  ``modes`` is the group's slice of
+    the modes, and ``bases`` the (modes, 8, n_times) view of their bases in
+    ``buffers.bases``, valid until the next group's are yielded.
     """
     t = _as_times(times)
-    n_dof, group = rate.size - 1, buffers.bases.shape[0]
+    n_dof, group = rate.size - 1, buffers.bases.shape[1]
     for start in range(0, n_dof, group):
         modes = slice(start, min(start + group, n_dof))
         rows = np.concatenate([rate[:1], rate[1:][modes]])
         table = _damped_bases(rows, times, buffers.damped[: rows.size])
-        bases = buffers.bases[: rows.size - 1]
-        bases[:, 0] = table[1:].imag
-        bases[:, 1] = table[1:].real
-        bases[:, 2] = table[0].imag
-        bases[:, 3] = table[0].real
-        # Input and output share a buffer, so numpy may read bases 0 to 3
-        # through a copy; the stage measured no slower than four multiplies
-        # from the table at 4 and 50 stories.
-        np.multiply(bases[:, :4], t, out=bases[:, 4:])
-        yield modes, bases
+        bases = buffers.bases[:, : rows.size - 1]
+        bases[0] = table[1:].imag
+        bases[1] = table[1:].real
+        bases[2] = table[0].imag
+        bases[3] = table[0].real
+        np.multiply(bases[:4], t, out=bases[4:])
+        yield modes, bases.transpose(1, 0, 2)
 
 
 def modal_response(model: ShearBuildingModel, theta: SystemParameters, times) -> np.ndarray:

@@ -35,12 +35,14 @@ not rely on that: it pins the BLAS to one thread while it runs
   keep the dots on one thread also where no BLAS pin is found.
 - ``ElementaryFimSet.assemble`` forms ``Q(z)`` for every sample, for the
   objective, the Newton step and the solver's full-support check, with
-  one gemv over stories: ``z`` times ``entries``, the (n_dof, 25 n_samples)
-  entry-major array that the elementary stage writes and the set keeps as
-  its only copy of the matrices, so that each output entry is one sum of
-  ``K = n_dof`` products and the result is already the (5, 5, n_samples)
-  stack the factor works on.  Each set assembles into one stack of its
-  own, allocated once.
+  one gemv over stories: ``z`` times ``entries``, the (n_dof, 15 n_samples)
+  entry-major array of the matrices' lower triangles that the elementary
+  stage writes and the set keeps as its only copy of the matrices, so
+  that each output entry is one sum of ``K = n_dof`` products.  Its rows
+  are copied into the lower triangle of the (5, 5, n_samples) stack the
+  factor works on, the only entries the factor reads; the matrices must
+  be exactly symmetric.  Each set assembles into one stack of its own,
+  allocated once.
 - ``_StackFactor.factor`` factors every sample's ``Q(z)`` in place, for
   the objective's log-determinant, the Newton step's whitening and the
   full-support check, and the Newton step inverts the factors.  Both treat
@@ -50,7 +52,8 @@ not rely on that: it pins the BLAS to one thread while it runs
 - The Newton step's derivatives (``mc_gradient_hessian``) reuse the
   factors its ``mc_objective`` call leaves in the stack, and come from
   per-sample batched matmuls with an inner dimension of at most 15,
-  summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``.
+  summed in sample order over blocks of the fixed size ``SAMPLE_BLOCK``,
+  each block's matrices copied whole, all 25 entries, from ``entries``.
 
 ``tests/test_thread_invariance.py`` checks all of them at benchmark sizes,
 the stage's sensitivities on records of 7 to 1001 steps, and the outer
@@ -66,6 +69,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from collections import deque
@@ -98,6 +102,16 @@ class SingularInformationError(RuntimeError):
 
 # The entries above the diagonal of a 5x5 matrix.
 _OFF_ROWS, _OFF_COLS = np.triu_indices(N_PARAMS, 1)
+# The lower triangle of a 5x5 matrix row by row, (p, q) with q <= p: the
+# entries ``ElementaryFimSet`` stores.  Row p starts at ``_ROW_STARTS[p]``,
+# and ``_SYMMETRIC`` takes all 25 entries, row-major, from the 15.
+_LOWER_ROWS, _LOWER_COLS = np.tril_indices(N_PARAMS)
+_N_LOWER = _LOWER_ROWS.size
+_ROW_STARTS = [p * (p + 1) // 2 for p in range(N_PARAMS)]
+_SYMMETRIC = np.array([
+    _ROW_STARTS[max(p, q)] + min(p, q) for p in range(N_PARAMS) for q in range(N_PARAMS)
+])
+_DIAGONAL = _SYMMETRIC[:: N_PARAMS + 1]
 
 _NOT_PD = "information matrix for sample {} is not positive definite"
 
@@ -114,8 +128,6 @@ class _StackFactor:
     def __init__(self, stack: np.ndarray):
         n, _, n_samples = stack.shape
         self.stack = stack
-        # ``ElementaryFimSet.assemble`` writes into this view; the stack is C-contiguous.
-        self.flat = stack.reshape(-1)
         self.diagonal = np.einsum("ppk->kp", stack)  # (n_samples, 5), a writable view
         self.pivot = np.empty(n_samples)
         update = np.empty((n - 1, n - 1, n_samples))
@@ -177,19 +189,23 @@ class _StackFactor:
 class ElementaryFimSet:
     """Per-sample, per-story elementary information matrices.
 
-    ``matrices`` has shape (n_samples, n_dof, 5, 5); entry ``[k, i]`` is
+    Entry ``[k, i]`` of ``matrices``, shape (n_samples, n_dof, 5, 5), is
     the symmetric PSD contribution of a sensor at story ``i`` under prior
     sample ``k``.  Pure precomputation: nothing downstream recomputes
     sensitivities.
 
-    The set stores the matrices once, entry-major and read-only:
-    ``entries`` has shape (n_dof, 25 n_samples), with ``entries[i, (5 p +
-    q) n_samples + k] = matrices[k, i, p, q]``, so that ``z @ entries`` is
-    the (5, 5, n_samples) stack of ``Q(z)`` that the factor works on, and
-    ``matrices`` is a strided view of the same array.  A read-only
-    ``matrices`` argument already laid out that way, such as the
-    elementary stage's or another set's ``matrices``, is kept without a
-    copy; any other array is copied into that layout once.
+    The set stores each matrix once, as its 15 distinct entries,
+    entry-major and read-only: ``entries`` has shape (n_dof, 15 n_samples),
+    with ``entries[i, r n_samples + k] = matrices[k, i, p_r, q_r]`` for the
+    lower triangle ``(p_r, q_r)``, ``q_r <= p_r``, taken row by row
+    (``_LOWER_ROWS``, ``_LOWER_COLS``).  So ``z @ entries`` holds the lower
+    triangle of every sample's ``Q(z)``, the only entries the factor reads.
+    The elementary stage writes ``entries`` and hands it to the set
+    (``_of_entries``); the constructor takes ``matrices`` and keeps their
+    lower triangles, so it refuses a matrix that is not exactly symmetric,
+    whose upper triangle would otherwise be lost without a word.
+    ``matrices`` is built afresh from ``entries`` on each access, a
+    read-only array of its own.
 
     Each set also owns one (5, 5, n_samples) stack with its factor's
     temporaries (``assemble``), and every objective call, Newton step and
@@ -199,43 +215,93 @@ class ElementaryFimSet:
     """
 
     def __init__(self, matrices: np.ndarray):
+        matrices = np.asarray(matrices, dtype=float)
         if matrices.ndim != 4 or matrices.shape[2:] != (N_PARAMS, N_PARAMS):
             raise ValueError(
                 f"expected elementary matrices of shape (n_samples, n_dof, {N_PARAMS}, "
                 f"{N_PARAMS}), got {matrices.shape}"
             )
-        n_samples, n_dof = matrices.shape[:2]
+        if not np.array_equal(matrices, matrices.swapaxes(-1, -2), equal_nan=True):
+            raise ValueError("elementary matrices must be exactly symmetric")
+        lower = matrices[:, :, _LOWER_ROWS, _LOWER_COLS]  # (n_samples, n_dof, 15), a copy
+        entries = np.ascontiguousarray(lower.transpose(1, 2, 0))
+        self._adopt(entries.reshape(matrices.shape[1], -1))
+
+    @classmethod
+    def _of_entries(cls, entries: np.ndarray) -> ElementaryFimSet:
+        """A set that keeps ``entries``, in the layout of ``ElementaryFimSet.entries``, uncopied."""
+        fimset = cls.__new__(cls)
+        fimset._adopt(entries)
+        return fimset
+
+    def _adopt(self, entries: np.ndarray) -> None:
+        entries.setflags(write=False)
+        self.n_dof, n_lower = entries.shape
+        self.n_samples = n_samples = n_lower // _N_LOWER
         if n_samples < 1:
             raise ValueError("an elementary set needs at least one sample")
-        stack = matrices.transpose(1, 2, 3, 0)
-        if matrices.flags.writeable or not stack.flags.c_contiguous:
-            stack = stack.copy()
-            stack.setflags(write=False)
-        self.n_samples, self.n_dof = n_samples, n_dof
-        self.entries = stack.reshape(n_dof, -1)
-        self.matrices = stack.transpose(3, 0, 1, 2)
-        self._work = _StackFactor(np.empty((N_PARAMS, N_PARAMS, n_samples)))
+        self.entries = entries
+        # ``assemble``'s gemv output, and the stack its rows are copied into.
+        # The entries above the stack's diagonal are never assembled; the
+        # factor's trailing updates leave values there that are never read.
+        self._lower = np.empty((_N_LOWER, n_samples))
+        self._work = _StackFactor(np.zeros((N_PARAMS, N_PARAMS, n_samples)))
+        self._rows = [
+            (self._lower[start:start + p + 1], self._work.stack[p, :p + 1])
+            for p, start in enumerate(_ROW_STARTS)
+        ]
         # The Newton step's inverse factors, transposed: only the entries
         # on and above the diagonal are ever written, so the rest stay zero.
         self._inverse_t = np.zeros((n_samples, N_PARAMS, N_PARAMS))
 
+    @functools.cached_property
+    def _block(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Newton step's (b, n_dof, 25) block array and gather index, kept once built.
+
+        Entry ``[k, i, 5 p + q]`` of the index is where in ``entries``,
+        counted from a block's first sample, entry (p, q) of story i of the
+        block's sample k lies.  One ``np.take`` gathers a block in about 0.6
+        of the time that a fancy-indexed gather and a transposed copy took
+        at 4 and 50 stories.  Kept, the two arrays hold 1.2 MiB at 50
+        stories.  Allocated afresh on each call, they made the Newton step
+        of a fifty-story placement take 3.3 ms instead of 1.3 ms, on two
+        cores.
+        """
+        stories = np.arange(self.n_dof)[:, None] * _N_LOWER + _SYMMETRIC
+        samples = np.arange(min(SAMPLE_BLOCK, self.n_samples))[:, None, None]
+        index = stories * self.n_samples + samples
+        return np.empty(index.shape), index
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The (n_samples, n_dof, 5, 5) matrices, a fresh read-only array on each access."""
+        lower = self.entries.reshape(self.n_dof, _N_LOWER, self.n_samples)
+        matrices = np.ascontiguousarray(lower[:, _SYMMETRIC].transpose(2, 0, 1)).reshape(
+            self.n_samples, self.n_dof, N_PARAMS, N_PARAMS
+        )
+        matrices.setflags(write=False)
+        return matrices
+
     def __reduce__(self):
-        # Copies and pickles are built afresh from the matrices: a copied
-        # stack would not share memory with copies of its views.  A shallow
-        # copy shares the read-only matrices.
+        # Copies and pickles are built afresh from the matrices, each with
+        # entries and a stack of its own.
         return ElementaryFimSet, (self.matrices,)
 
     def assemble(self, z) -> _StackFactor:
         """Write every sample's ``Q(z) = sum_i z_i Q_i`` into the set's stack; return its factor.
 
-        One gemv over stories, ``z @ entries``: each output entry is one
-        sum of ``K = n_dof`` products.  Why that is thread-invariant is in
-        the module docstring; the non-BLAS ``np.einsum("i,kipq->pqk", z,
-        matrices)`` is the fallback.  The next call on the set overwrites
-        the stack.
+        One gemv over stories, ``z @ entries``, into a (15, n_samples)
+        array the set owns: each output entry is one sum of ``K = n_dof``
+        products.  Its rows for row ``p`` of the 5x5 matrices are then
+        copied to ``stack[p, :p + 1]``, so only the lower triangle of the
+        stack is written.  Why that is thread-invariant is in the module
+        docstring; the non-BLAS ``np.einsum("i,kipq->pqk", z, matrices)`` is
+        the fallback.  The next call on the set overwrites the stack.
         """
         z = _as_placement(z, self.n_dof)
-        np.matmul(z, self.entries, out=self._work.flat)
+        np.matmul(z, self.entries, out=self._lower.reshape(-1))
+        for lower, row in self._rows:
+            np.copyto(row, lower)
         return self._work
 
 
@@ -346,11 +412,47 @@ def _one_blas_thread():
                 set_threads(_pin_saved)
 
 
+def _read_cgroup(name: str) -> str | None:
+    """The text of the cgroup file ``/sys/fs/cgroup/<name>``, or None where it cannot be read."""
+    try:
+        with open(f"/sys/fs/cgroup/{name}", encoding="ascii") as file:
+            return file.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _cpu_quota() -> float | None:
+    """The CPUs the process's cgroup may use per period, or None where no quota is set.
+
+    ``cpu.max`` (``<quota> <period>``, or ``max <period>``) on cgroup v2;
+    ``cpu/cpu.cfs_quota_us`` over ``cpu/cpu.cfs_period_us`` on v1, where a
+    quota of -1 means none.
+    """
+    text = _read_cgroup("cpu.max")
+    if text is not None:
+        fields = text.split()
+    else:
+        fields = [_read_cgroup(f"cpu/cpu.cfs_{name}_us") for name in ("quota", "period")]
+        if None in fields:
+            return None
+    try:
+        quota, period = int(fields[0]), int(fields[1])
+    except (ValueError, IndexError):  # "max", or a file that cannot be parsed
+        return None
+    return quota / period if quota > 0 and period > 0 else None
+
+
 def _cores() -> int:
-    """Cores this process may run on."""
+    """Cores this process may run on: its affinity mask, bounded by its cgroup's CPU quota.
+
+    A quota of 1.5 CPUs counts as 2 cores.
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cores if quota is None else min(cores, math.ceil(quota))
 
 
 def compute_elementary_set(
@@ -385,12 +487,13 @@ def compute_elementary_set(
     both run pinned, and the last to finish restores the caller's count.
     """
     n_samples, n_dof = samples.n_samples, model.n_dof
-    # The set's only copy of the matrices, entry-major (``ElementaryFimSet``).
-    # Threads on neighbouring blocks can write the same cache lines (one
-    # holds 8 samples of an entry); at 50 stories, 5 samples a block, the
-    # threaded stage on two cores measured no slower than with a
-    # sample-major array (145 vs 152 ms at 100 samples x 1000 steps).
-    stack = np.empty((n_dof, N_PARAMS, N_PARAMS, n_samples))
+    # The set's only copy of the matrices, their lower triangles entry-major
+    # (``ElementaryFimSet``).  Threads on neighbouring blocks can write the
+    # same cache lines (one holds 8 samples of an entry); at 50 stories, 5
+    # samples a block, the threaded stage on two cores measured no slower
+    # than with a sample-major array (145 vs 152 ms at 100 samples x 1000
+    # steps, with all 25 entries stored).
+    entries = np.empty((n_dof, _N_LOWER, n_samples))
     block = max(1, ROWS // n_dof)
     n_blocks = -(-n_samples // block)
     # ``popleft`` is thread-safe.  A ``queue.SimpleQueue`` would do the same,
@@ -399,29 +502,32 @@ def compute_elementary_set(
     blocks = deque(range(n_blocks))
     failures = []  # (block, error)
 
-    def fill(index: int, buffers: SensitivityBuffers) -> None:
+    def fill(index: int, buffers: SensitivityBuffers, outer: np.ndarray) -> None:
         start = index * block
-        coefficients = sensitivity_coefficients(model, samples.values[start:start + block])
-        for k, sample in enumerate(zip(*coefficients), start):
+        stop = min(start + block, n_samples)
+        coefficients = sensitivity_coefficients(model, samples.values[start:stop])
+        done = outer[:stop - start]
+        for k, sample in enumerate(zip(*coefficients)):
             sens = response_sensitivities(model, sample, times, buffers=buffers)
             # The sensitivities are stored (story, parameter, time).
-            _outer_products(sens.transpose(1, 2, 0), stack[..., k])
+            _outer_products(sens.transpose(1, 2, 0), done[k])
         # A diagonal sums the squares of its story's sensitivities, so a
         # sample's matrices are finite exactly when all its sensitivities are
         # (and their squares do not overflow).  Checked once per block.
-        finite = np.isfinite(stack[..., start:start + block]).all(axis=(0, 1, 2))
+        finite = np.isfinite(done).all(axis=(1, 2, 3))
         if not finite.all():
             k = start + int(np.argmin(finite))
             raise FloatingPointError(f"non-finite sensitivities for sample {k}")
+        entries[..., start:stop] = done[:, :, _LOWER_ROWS, _LOWER_COLS].transpose(1, 2, 0)
 
-    def work(buffers: SensitivityBuffers) -> None:
+    def work(buffers: SensitivityBuffers, outer: np.ndarray) -> None:
         while not failures:
             try:
                 index = blocks.popleft()
             except IndexError:
                 return
             try:
-                fill(index, buffers)
+                fill(index, buffers, outer)
             except BaseException as error:
                 # Kept and raised below, after every thread has stopped: an
                 # exception left to end a thread would lose its block.
@@ -431,27 +537,30 @@ def compute_elementary_set(
     # because each further thread that allocates does so in a malloc arena
     # of its own.  On two cores a thread pool beside an idle caller raised
     # fifty-story's peak RSS from 49.4-49.7 to 50.8-51.2 MB, and buffers
-    # allocated inside the helpers raised it by about 4.5 MB.
-    buffers = sensitivity_buffers(n_dof, times)
+    # allocated inside the helpers raised it by about 4.5 MB.  Each thread
+    # writes a block's outer products, all 25 entries of every matrix, into
+    # an array of its own, and copies their lower triangles into ``entries``.
+    def thread_buffers():
+        return sensitivity_buffers(n_dof, times), np.empty((block, n_dof, N_PARAMS, N_PARAMS))
+
+    buffers = thread_buffers()
     with _one_blas_thread() as pinned:
         n_threads = 1
-        if pinned and n_dof * buffers.story.shape[-1] >= THREAD_WORK:
+        if pinned and n_dof * buffers[0].story.shape[-1] >= THREAD_WORK:
             n_threads = min(_cores(), n_blocks)
         helpers = [
-            threading.Thread(target=work, args=(sensitivity_buffers(n_dof, times),))
-            for _ in range(n_threads - 1)
+            threading.Thread(target=work, args=thread_buffers()) for _ in range(n_threads - 1)
         ]
         for helper in helpers:
             helper.start()
         try:
-            work(buffers)
+            work(*buffers)
         finally:
             for helper in helpers:
                 helper.join()
     if failures:
         raise min(failures)[1]  # the blocks are distinct, so no errors are compared
-    stack.setflags(write=False)
-    return ElementaryFimSet(matrices=stack.transpose(3, 0, 1, 2))
+    return ElementaryFimSet._of_entries(entries.reshape(n_dof, -1))
 
 
 def check_budget(budget: int, n_dof: int) -> None:
@@ -522,11 +631,14 @@ def mc_objective_regularized(z, fimset: ElementaryFimSet, eps: float) -> float:
 def regularization_scale(fimset: ElementaryFimSet) -> float:
     """Ridge size for the regularized fallback: 1e-12 times the mean trace.
 
-    The traces are laid out sample-major (``order="C"``), so that the mean
-    adds them in the same order whatever the layout of ``matrices``.
+    Each trace adds the five diagonal rows of ``entries`` in order; the
+    traces are laid out sample-major, so that the mean adds them in sample
+    order, as over a sample-major array of traces.
     """
-    mean_trace = float(np.mean(np.einsum("kipp->ki", fimset.matrices, order="C")))
-    return 1e-12 * mean_trace
+    n_dof, n_samples = fimset.n_dof, fimset.n_samples
+    diagonal = fimset.entries.reshape(n_dof, _N_LOWER, n_samples)[:, _DIAGONAL]
+    traces = np.add.reduce(diagonal, axis=1).T.copy()
+    return 1e-12 * float(np.mean(traces))
 
 
 # Samples whitened and contracted together.  A fixed constant, so the
@@ -556,10 +668,14 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[float, np.ndarray,
     ``L X = I`` over the same (5, 5, n_samples) vectors, elementwise, into
     a second stack the set keeps.
 
-    Samples are taken in blocks of ``SAMPLE_BLOCK``.  Within a block, two
-    batched matmuls whiten the elements (per sample, ``M = 5 n_dof`` and
-    ``K = 5``): ``Q_i L^{-T}``, transposed per story to ``L^{-1} Q_i`` by
-    the symmetry of ``Q_i``, then times ``L^{-T}`` again.  Each ``W_ki`` is
+    Samples are taken in blocks of ``SAMPLE_BLOCK``.  Each block's
+    elements are first gathered whole, all 25 entries of each, from the
+    lower triangles in ``entries`` into a sample-major (b, n_dof, 5, 5)
+    array that the set allocates, with the gather's index, at its first
+    call and keeps (``ElementaryFimSet._block``).  Then two batched matmuls
+    whiten the elements (per sample, ``M = 5 n_dof`` and ``K = 5``):
+    ``Q_i L^{-T}``, transposed per story to ``L^{-1} Q_i`` by the symmetry
+    of ``Q_i``, then times ``L^{-T}`` again.  Each ``W_ki`` is
     packed into 15 entries and one batched per-sample product
     ``X_k X_k^T`` (``K = 15``) gives the Hessian terms, which are summed in
     sample order.  Why this is thread-invariant is in the module
@@ -586,10 +702,14 @@ def mc_gradient_hessian(z, fimset: ElementaryFimSet) -> tuple[float, np.ndarray,
             np.negative(chol_inv[i, j], out=chol_inv[i, j])
     trace_sum = np.zeros(n_dof)
     hess_sum = np.zeros((n_dof, n_dof))
+    block_elems, block_index = fimset._block
+    flat = fimset.entries.reshape(-1)
     for start in range(0, n_samples, SAMPLE_BLOCK):
-        block = slice(start, start + SAMPLE_BLOCK)
-        elems = fimset.matrices[block]  # a strided view: the reshape below copies it
-        b = elems.shape[0]
+        block = slice(start, min(start + SAMPLE_BLOCK, n_samples))
+        b = block.stop - start
+        elems = block_elems[:b]
+        # Every index is in range; "clip" lets ``take`` write into ``elems`` directly.
+        np.take(flat[start:], block_index[:b], out=elems, mode="clip")
         half = elems.reshape(b, n_dof * N_PARAMS, N_PARAMS) @ chol_inv_t[block]
         half = half.reshape(b, n_dof, N_PARAMS, N_PARAMS).transpose(0, 1, 3, 2).copy()
         whitened = (half.reshape(b, n_dof * N_PARAMS, N_PARAMS) @ chol_inv_t[block]).reshape(

@@ -423,7 +423,7 @@ class TestResponseSensitivities:
             group = max(1, building.BASES_FLOATS // (8 * t.size))
             n_dof = 2 * group + 1
             buffers = building.sensitivity_buffers(n_dof, times)
-            assert buffers.bases.shape[0] == group
+            assert buffers.bases.shape == (8, group, t.size)  # basis-major
             story = buffers.story.base
             for part in (buffers.bases, buffers.damped):
                 assert address(story) <= address(part), times

@@ -47,6 +47,15 @@ def _fimset_from(matrices) -> ElementaryFimSet:
     return ElementaryFimSet(matrices=m)
 
 
+def _symmetric(a) -> np.ndarray:
+    """``a`` plus its transpose: an exactly symmetric array of 5x5 matrices."""
+    return a + a.swapaxes(-1, -2)
+
+
+# The entries of a 5x5 matrix that the set stores and assembles.
+LOWER = fim._LOWER_ROWS, fim._LOWER_COLS
+
+
 def _gradient(z, fimset):
     return mc_gradient_hessian(z, fimset)[1]
 
@@ -219,7 +228,7 @@ class TestElementaryMatrices:
 
     def test_symmetry_and_psd(self, four_dof_fimset):
         m = four_dof_fimset.matrices
-        np.testing.assert_allclose(m, np.swapaxes(m, -1, -2), atol=1e-12)
+        np.testing.assert_array_equal(m, np.swapaxes(m, -1, -2))
         eigs = np.linalg.eigvalsh(m.reshape(-1, 5, 5))
         traces = np.einsum("qpp->q", m.reshape(-1, 5, 5))
         assert np.all(eigs[:, 0] >= -1e-10 * traces)
@@ -244,6 +253,23 @@ def blas_control():
     if control is None:
         pytest.skip("no BLAS thread control: the elementary stage runs serially")
     return control
+
+
+@pytest.mark.parametrize("files, cores", [
+    ({}, 8),
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "1600000 100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+    ({"cpu/cpu.cfs_quota_us": "300000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+    ({"cpu/cpu.cfs_quota_us": "50000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1),
+])
+def test_cores_are_bounded_by_the_cpu_quota(monkeypatch, files, cores):
+    # Eight cores in the affinity mask; the cgroup's quota, where one is
+    # set, bounds them, rounded up.  cgroup v2 has cpu.max, v1 the pair.
+    monkeypatch.setattr(fim.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(fim, "_read_cgroup", files.get)
+    assert fim._cores() == cores
 
 
 class TestThreadedStage:
@@ -467,22 +493,24 @@ def test_elementary_set_is_five_by_five(n_params):
 
 
 class TestAssembleQ:
+    # Only the lower triangle of the stack is assembled.
     def test_zero_weights(self):
         fimset = _fimset_from([[np.eye(5), 2 * np.eye(5)]])
-        assert np.all(fimset.assemble(np.zeros(2)).stack.copy() == 0.0)
+        assert np.all(fimset.assemble(np.zeros(2)).stack[LOWER] == 0.0)
 
     def test_one_hot(self):
         rng = np.random.default_rng(0)
-        elems = rng.normal(size=(3, 5, 5))
+        elems = _symmetric(rng.normal(size=(3, 5, 5)))
         fimset = _fimset_from([elems])
-        np.testing.assert_array_equal(fimset.assemble(np.eye(3)[1]).stack.copy()[:, :, 0], elems[1])
+        one_hot = fimset.assemble(np.eye(3)[1]).stack[LOWER][:, 0]
+        np.testing.assert_array_equal(one_hot, elems[1][LOWER])
 
     def test_linearity_midpoint(self):
         rng = np.random.default_rng(1)
-        fimset = _fimset_from([rng.normal(size=(4, 5, 5))])
+        fimset = _fimset_from([_symmetric(rng.normal(size=(4, 5, 5)))])
         z1, z2 = rng.uniform(size=4), rng.uniform(size=4)
-        mid = fimset.assemble((z1 + z2) / 2).stack.copy()
-        avg = (fimset.assemble(z1).stack.copy() + fimset.assemble(z2).stack.copy()) / 2
+        mid = fimset.assemble((z1 + z2) / 2).stack[LOWER]
+        avg = (fimset.assemble(z1).stack[LOWER] + fimset.assemble(z2).stack[LOWER]) / 2
         np.testing.assert_allclose(mid, avg, atol=1e-15 * np.max(np.abs(avg)))
 
     def test_length_mismatch(self):
@@ -522,9 +550,10 @@ class TestMcObjective:
         rng = np.random.default_rng(8)
         z = random_feasible_z(rng, 4, 2)
         fast = mc_objective(z, four_dof_fimset)
+        matrices = four_dof_fimset.matrices
         total = 0.0
         for k in range(four_dof_fimset.n_samples):
-            q = sum(z[i] * four_dof_fimset.matrices[k, i] for i in range(4))
+            q = sum(z[i] * matrices[k, i] for i in range(4))
             sign, logdet = np.linalg.slogdet(q)
             assert sign > 0
             total += logdet
@@ -683,20 +712,37 @@ class TestCholeskyAll:
 
 
 class TestSetStack:
-    # Each set keeps its matrices once, entry-major, and one stack that
-    # every objective call and Newton step on it overwrites.
+    # Each set keeps the lower triangles of its matrices once, entry-major,
+    # and one stack that every objective call and Newton step on it overwrites.
     def test_entries_are_a_read_only_entry_major_copy(self, four_dof_fimset):
-        built = _fimset_from(np.random.default_rng(20).normal(size=(7, 3, 5, 5)))
+        built = _fimset_from(_symmetric(np.random.default_rng(20).normal(size=(7, 3, 5, 5))))
         for fimset in (four_dof_fimset, built):
             n_samples, n_dof = fimset.n_samples, fimset.n_dof
-            entries = fimset.entries
-            assert entries.shape == (n_dof, 25 * n_samples)
+            entries, matrices = fimset.entries, fimset.matrices
+            assert entries.shape == (n_dof, 15 * n_samples)
+            assert matrices.shape == (n_samples, n_dof, 5, 5)
             assert not entries.flags.writeable
-            assert not fimset.matrices.flags.writeable
-            assert np.shares_memory(entries, fimset.matrices)
+            assert not matrices.flags.writeable
+            # ``matrices`` is a fresh array on each access.
+            assert not np.shares_memory(entries, matrices)
+            assert not np.shares_memory(matrices, fimset.matrices)
             np.testing.assert_array_equal(
-                entries.reshape(n_dof, 5, 5, n_samples), fimset.matrices.transpose(1, 2, 3, 0)
+                entries.reshape(n_dof, 15, n_samples),
+                matrices[:, :, LOWER[0], LOWER[1]].transpose(1, 2, 0),
             )
+            np.testing.assert_array_equal(matrices, matrices.swapaxes(-1, -2))
+
+    def test_refuses_matrices_that_are_not_exactly_symmetric(self, four_dof_fimset):
+        # The set keeps the lower triangles, so an upper triangle of its own
+        # would be lost: the objective would read the lower triangle and the
+        # Newton step's whitening the whole matrix.
+        matrices = four_dof_fimset.matrices.copy()
+        matrices[3, 1, 0, 4] = np.nextafter(matrices[3, 1, 0, 4], np.inf)
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            ElementaryFimSet(matrices)
+        skew = np.random.default_rng(26).normal(size=(5, 5))
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            ElementaryFimSet(four_dof_fimset.matrices + 0.5 * (skew - skew.T))
 
     def test_reused_stack_gives_the_bits_of_a_fresh_set(self, four_dof_fimset):
         # Calls on two sets interleave, and each follows a failed call on
@@ -720,10 +766,11 @@ class TestSetStack:
                 )
 
     def test_the_stage_builds_one_copy(self):
-        # The stage writes the entry-major array the set keeps.  Besides it,
-        # the traced peak holds the set's own stacks and the stage's per-block
-        # arrays, well below half a copy at 20 stories; a sample-major array
-        # copied into the set would take the peak to two copies.
+        # The stage writes the entry-major array the set keeps, 15 entries
+        # per matrix.  Besides it, the traced peak holds the set's own stacks
+        # and the stage's per-block arrays, well below half a copy at 20
+        # stories; a 25-entry array, or a copy of the entries, would take the
+        # peak above it.
         model, grid = build_uniform_shear_model(20), TimeGrid(100, 0.01)
         samples = sample_prior(default_prior(), 500, seed=24)
         buffers = fim.sensitivity_buffers(model.n_dof, grid)
@@ -735,19 +782,18 @@ class TestSetStack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.shares_memory(fimset.entries, fimset.matrices)
-        assert peak < 1.5 * fimset.matrices.nbytes + buffer_bytes
+        assert fimset.entries.nbytes == 8 * 15 * model.n_dof * samples.n_samples
+        assert peak < 1.5 * fimset.entries.nbytes + buffer_bytes
 
     def test_copies_hold_one_copy_of_their_own(self, four_dof_fimset):
-        # A set built from another's read-only matrices shares them; deep
-        # copies and pickles get the same bits in a single array of their own.
-        assert np.shares_memory(
-            ElementaryFimSet(matrices=four_dof_fimset.matrices).entries, four_dof_fimset.entries
-        )
-        for copied in (copy.deepcopy(four_dof_fimset), pickle.loads(pickle.dumps(four_dof_fimset))):
+        # A set built from another's matrices, deep copies and pickles get
+        # the same entries in an array of their own.
+        rebuilt = ElementaryFimSet(matrices=four_dof_fimset.matrices)
+        for copied in (rebuilt, copy.deepcopy(four_dof_fimset),
+                       pickle.loads(pickle.dumps(four_dof_fimset))):
             assert np.array_equal(copied.entries, four_dof_fimset.entries)
-            assert np.shares_memory(copied.entries, copied.matrices)
             assert not np.shares_memory(copied.entries, four_dof_fimset.entries)
+            assert not copied.entries.flags.writeable
             assert not copied.matrices.flags.writeable
 
     def test_ridge_scale_adds_the_traces_in_sample_order(self):
@@ -755,7 +801,7 @@ class TestSetStack:
         # although the set stores its matrices entry-major.
         rng = np.random.default_rng(25)
         for n_samples, n_dof in ((300, 7), (1000, 4), (37, 50)):
-            matrices = rng.exponential(size=(n_samples, n_dof, 5, 5))
+            matrices = _symmetric(rng.exponential(size=(n_samples, n_dof, 5, 5)))
             mean_trace = np.mean(np.ascontiguousarray(np.einsum("kipp->ki", matrices)))
             assert fim.regularization_scale(_fimset_from(matrices)) == 1e-12 * float(mean_trace)
 

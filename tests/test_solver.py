@@ -259,7 +259,7 @@ def _twin_story_fimset():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(5, 5))
     b = rng.normal(size=(5, 5))
-    matrices = np.stack([a @ a.T + np.eye(5), 0.1 * b @ b.T, 0.1 * b @ b.T])
+    matrices = np.stack([a @ a.T + np.eye(5), 0.1 * (b @ b.T), 0.1 * (b @ b.T)])
     return ElementaryFimSet(matrices[None])
 
 

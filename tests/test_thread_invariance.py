@@ -24,6 +24,7 @@ the modal contraction, the mode-to-story map, the outer products and the
 assembly to the non-BLAS ``einsum`` each docstring names as its fallback.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -34,8 +35,8 @@ import numpy as np
 
 import sensoropt
 from sensoropt import (
-    SystemParameters, TimeGrid, build_uniform_shear_model, building, compute_elementary_set,
-    default_prior, fim, sample_prior,
+    Marginal, SystemParameters, TimeGrid, build_uniform_shear_model, building,
+    compute_elementary_set, default_prior, fim, sample_prior,
 )
 
 from conftest import random_feasible_z
@@ -142,7 +143,7 @@ digests["elementary matrices, 50 stories x 20 samples"] = digest(
     ).matrices
 )
 
-# The assembly gemv has 25 n_samples outputs, so its split between threads
+# The assembly gemv has 15 n_samples outputs, so its split between threads
 # changes with the sample count: the paper's 50 x 1000 and the tall
 # building's 80 x 100.  The split depends on the shape only, so the sets
 # repeat the samples above instead of computing more.
@@ -257,20 +258,33 @@ def test_modal_matmul_matches_non_blas_einsum():
 
 
 def test_assembly_matmul_matches_non_blas_einsum(four_dof_fimset):
-    # The einsum is the fallback named in ElementaryFimSet.assemble.
-    fifty = compute_elementary_set(
-        build_uniform_shear_model(50), sample_prior(default_prior(), 10, seed=4),
-        TimeGrid(200, 0.01),
+    # The einsum is the fallback named in ElementaryFimSet.assemble.  Only
+    # the lower triangle is assembled; it has the bits of the gemv over all
+    # 25 entries of each matrix, and agrees with the einsum to rounding.
+    tall_prior = dataclasses.replace(
+        default_prior(), omega0=Marginal("lognormal", 2 * np.pi, 0.15)
     )
+    fifty, eighty = (
+        compute_elementary_set(
+            build_uniform_shear_model(n_dof), sample_prior(prior, 10, seed=4),
+            TimeGrid(n_steps, 0.01),
+        )
+        for n_dof, prior, n_steps in ((50, default_prior(), 200), (80, tall_prior, 100))
+    )
+    lower = fim._LOWER_ROWS, fim._LOWER_COLS
     rng = np.random.default_rng(17)
-    for fimset in (four_dof_fimset, fifty):
-        n_dof = fimset.n_dof
+    for fimset in (four_dof_fimset, fifty, eighty):
+        n_dof, matrices = fimset.n_dof, fimset.matrices
+        all_entries = np.ascontiguousarray(matrices.transpose(1, 2, 3, 0)).reshape(n_dof, -1)
         binary = (np.arange(n_dof) % 2 == 1).astype(float)
         for z in (binary, random_feasible_z(rng, n_dof, n_dof // 2, mix=0.5)):
-            reference = np.einsum("i,kipq->pqk", z, fimset.matrices)
+            assembled = fimset.assemble(z).stack[lower]
+            gemv = (z @ all_entries).reshape(5, 5, -1)[lower]
+            assert np.array_equal(assembled, gemv)
+            reference = np.einsum("i,kipq->pqk", z, matrices)
             # Off-diagonal entries cancel, so each entry is judged against
             # its PSD bound sqrt(Q_pp Q_qq), the same for both sums.
             diagonal = np.einsum("ppk->pk", reference)
-            scale = np.sqrt(diagonal[:, None, :] * diagonal[None, :, :])
-            error = np.abs(fimset.assemble(z).stack.copy() - reference)
+            scale = np.sqrt(diagonal[:, None, :] * diagonal[None, :, :])[lower]
+            error = np.abs(assembled - reference[lower])
             assert np.all(error <= 1e-14 * scale), np.max(error / scale)
