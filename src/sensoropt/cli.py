@@ -1,4 +1,4 @@
-"""Command-line interface: place, compare, oracle."""
+"""Command-line interface: place, oracle."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import BASELINE_LABELS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .pipeline import PipelineError, run_oracle, run_pipeline, write_oracle, write_report
 from .solver import ENUMERATION_CAP
 
@@ -21,40 +21,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     place = sub.add_parser("place", help="run the full placement pipeline")
-    compare = sub.add_parser(
-        "compare", help="run the pipeline with an explicit baseline list"
-    )
     oracle = sub.add_parser(
         "oracle",
         help=f"exhaustive combinatorial optimum, refused above {ENUMERATION_CAP:,} configurations",
     )
 
-    for p in (place, compare, oracle):
+    for p in (place, oracle):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--out", default="sensoropt-run", help="output directory")
         p.add_argument("--quiet", action="store_true", help="suppress the summary")
-    compare.add_argument(
-        "--configs",
-        required=True,
-        help=f"comma-separated baseline labels, from {','.join(BASELINE_LABELS)}",
-    )
     return parser
 
 
-def _resolve_out(args, config) -> Path:
+def _resolve_out(name: str) -> Path:
     """The output directory, checked before any stage runs and not created.
 
     It must be a directory or not exist yet, and its nearest existing
     ancestor must be a directory, so that a run cannot place for seconds
     and then fail to write.
     """
-    if args.out is not None:
-        out = Path(args.out)
-    elif config.output_dir is not None:
-        out = Path(config.output_dir)
-    else:
-        out = Path("sensoropt-run")
+    out = Path(name)
     path = out.absolute()
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
@@ -63,18 +50,14 @@ def _resolve_out(args, config) -> Path:
 
 
 def _load(args):
-    """The run configuration, with ``--seed`` and ``--configs`` validated as its keys."""
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "configs", None) is not None:
-        overrides["baselines"] = [s.strip() for s in args.configs.split(",") if s.strip()]
+    """The run configuration, with ``--seed`` validated as its ``seed`` key."""
+    overrides = {} if args.seed is None else {"seed": args.seed}
     return load_config(args.config, overrides)
 
 
 def _run_place(args) -> int:
     config = _load(args)
-    out = _resolve_out(args, config)
+    out = _resolve_out(args.out)
     report = run_pipeline(config)
     write_report(report, out)
     if not args.quiet:
@@ -88,7 +71,7 @@ def _run_place(args) -> int:
 
 def _run_oracle(args) -> int:
     config = _load(args)
-    out = _resolve_out(args, config)
+    out = _resolve_out(args.out)
     result = run_oracle(config)
     path = write_oracle(result, config, out)
     if not args.quiet:

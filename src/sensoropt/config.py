@@ -45,7 +45,6 @@ class RunConfig:
     seed: int
     prior: PriorSpec = field(default_factory=default_prior)
     baselines: tuple[str, ...] = ("greedy", "low", "high", "common")
-    output_dir: str | None = None
 
 
 # A value that failed its check; the violation is already recorded.
@@ -64,15 +63,10 @@ def _parse(tp, value, path: str, violations: list[str], base=None):
         except ValueError as exc:
             violations.append(f"{path}: {exc}")
             return _BAD
-    args = typing.get_args(tp)
-    if type(None) in args:  # ``X | None``
-        if value is None:
-            return None
-        (tp,) = set(args) - {type(None)}
-        return _parse(tp, value, path, violations)
     if typing.get_origin(tp) is tuple:  # ``tuple[X, ...]``, written as a list
         if isinstance(value, (list, tuple)):
-            items = [_parse(args[0], v, f"{path}[{i}]", violations) for i, v in enumerate(value)]
+            item = typing.get_args(tp)[0]
+            items = [_parse(item, v, f"{path}[{i}]", violations) for i, v in enumerate(value)]
             return _BAD if any(v is _BAD for v in items) else tuple(items)
         expected = "a list"
     else:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -143,25 +144,58 @@ class TestCli:
         payload = json.loads((out / "report.json").read_text())
         assert payload["config"]["seed"] == 9
 
-    def test_compare_subcommand(self, tmp_path):
+    def test_config_baselines_name_the_comparison_rows(self, tmp_path):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps(SMALL))
+        config_path.write_text(json.dumps(dict(SMALL, baselines=["low", "high"])))
         out = tmp_path / "out"
-        proc = _run_cli(
-            ["compare", "--config", str(config_path), "--configs", "low,high",
-             "--out", str(out), "--quiet"]
-        )
+        proc = _run_cli(["place", "--config", str(config_path), "--out", str(out), "--quiet"])
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "report.json").read_text())
         labels = [r["label"] for r in payload["comparison"]["rows"]]
         assert labels == ["optimal", "low", "high"]
 
-    def test_compare_rejects_unknown_label(self, tmp_path):
+    def test_config_rejects_unknown_baseline_label(self, tmp_path):
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps(SMALL))
-        proc = _run_cli(["compare", "--config", str(config_path), "--configs", "genetic"])
+        config_path.write_text(json.dumps(dict(SMALL, baselines=["genetic"])))
+        proc = _run_cli(["place", "--config", str(config_path), "--quiet"])
         assert proc.returncode == 2
-        assert "genetic" in proc.stderr
+        assert "baselines: unknown labels ['genetic']" in proc.stderr
+
+    def test_compare_verb_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["compare", "--config", str(tmp_path / "c.json")])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'compare'" in capsys.readouterr().err
+
+    def test_configs_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["place", "--config", str(tmp_path / "c.json"), "--configs", "low"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --configs low" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["place", "oracle"])
+    def test_output_dir_is_an_unknown_key(self, tmp_path, monkeypatch, capsys, command):
+        def never(config):
+            raise AssertionError("a stage ran with an invalid configuration")
+
+        monkeypatch.setattr(cli, "run_pipeline", never)
+        monkeypatch.setattr(cli, "run_oracle", never)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(dict(SMALL, output_dir=str(tmp_path / "run"))))
+        assert cli.main([command, "--config", str(config_path)]) == 2
+        assert "unknown keys ['output_dir']" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["place", "oracle"])
+    def test_each_verb_takes_exactly_the_four_run_options(self, command):
+        sub = next(
+            a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert sorted(sub.choices) == ["oracle", "place"]
+        options = {
+            o for a in sub.choices[command]._actions for o in a.option_strings if o.startswith("--")
+        }
+        assert options == {"--config", "--seed", "--out", "--quiet", "--help"}
 
     def test_oracle_subcommand(self, tmp_path):
         config_path = tmp_path / "c.json"
